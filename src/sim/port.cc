@@ -1,12 +1,36 @@
 #include "sim/port.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/hook.h"
 #include "parsim/mailbox.h"
 
 namespace dtdctcp::sim {
+
+void Port::require_idle_wire(const char* what) const {
+  if (!wire_.empty()) {
+    throw std::logic_error(std::string("Port::") + what +
+                           " while packets are on the wire");
+  }
+}
+
+void Port::attach_peer(Node* peer) {
+  require_idle_wire("attach_peer");
+  peer_ = peer;
+}
+
+void Port::bind_simulator(Simulator& sim) {
+  require_idle_wire("bind_simulator");
+  sim_ = &sim;
+}
+
+void Port::set_remote(parsim::Mailbox* mb) {
+  require_idle_wire("set_remote");
+  remote_ = mb;
+}
 
 void Port::send(Packet pkt) {
   assert(peer_ != nullptr && "port not wired to a peer");
@@ -49,10 +73,10 @@ void Port::begin_transmission(Packet pkt) {
   const SimTime tx = units::transmission_time(pkt.size_bytes, rate);
   ++packets_sent_;
   bytes_sent_ += pkt.size_bytes;
-  // Arrival at the peer is an independent event so the pipe can hold
-  // multiple packets; transmitter release is a separate event. Both go
-  // through the kernel's typed fast path: no type-erased closure, no
-  // allocation, just the payload placed in a recycled event slot.
+  // The packet is parked in the kernel's arena and its key joins the
+  // wire FIFO, so the pipe can hold multiple packets; transmitter
+  // release is a separate event. Both go through the kernel's typed
+  // fast path: no type-erased closure, no allocation.
   //
   // A cross-shard link hands the arrival to the peer shard's mailbox
   // instead: the arrival timestamp is computed here (same arithmetic as
@@ -60,12 +84,32 @@ void Port::begin_transmission(Packet pkt) {
   // consuming shard schedules it after the next window barrier. The
   // transmitter-release event is always local.
   if (remote_ == nullptr) {
-    sim_->deliver_after(tx + prop_delay_, peer_, std::move(pkt));
+    const SimTime arrival = sim_->now() + (tx + prop_delay_);
+    if (!wire_.empty() && arrival < wire_.back().arrival) {
+      // Rounding could put an arrival behind its predecessor's only
+      // when a packet serializes in a few ulps of the clock (a zero-byte
+      // packet); such a packet keeps (time, seq) order as its own event.
+      sim_->deliver_at(arrival, peer_, std::move(pkt));
+    } else {
+      const std::uint32_t seq = sim_->reserve_seq();
+      wire_.push_back(
+          InFlight{arrival, seq, sim_->park(peer_, std::move(pkt))});
+      if (wire_.size() == 1) sim_->wire_arrival_at(arrival, seq, this);
+    }
   } else {
     DTDCTCP_CHECK_HOOK(packet_exported(this, pkt));
     remote_->push(sim_->now() + tx + prop_delay_, peer_, std::move(pkt));
   }
   sim_->tx_complete_after(tx, this);
+}
+
+void Port::on_wire_arrival() {
+  const std::uint32_t slot = wire_.front().slot;
+  wire_.pop_front();
+  if (!wire_.empty()) {
+    sim_->wire_arrival_at(wire_.front().arrival, wire_.front().seq, this);
+  }
+  sim_->deliver_parked(slot);
 }
 
 void Port::on_transmit_complete() {

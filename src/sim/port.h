@@ -6,7 +6,16 @@
 // discipline, which may drop or ECN-mark it. Serialization takes
 // size*8/rate seconds; the packet then propagates for `delay` seconds and
 // is delivered to the peer node. The pipe holds arbitrarily many packets
-// in flight (independent arrival events), like a real wire.
+// in flight, like a real wire.
+//
+// The packets in flight are parked in the kernel's payload arena. The
+// port keeps their keys in its own FIFO ring — arrival time and the
+// kernel sequence number reserved when the packet was sent — and the
+// kernel holds a single entry for the ring's head. Each
+// transmission starts after the previous one ends, so arrival times
+// along a link never decrease and FIFO order is (time, seq) order: the
+// packets arrive exactly when and in the order that one kernel event
+// per packet would deliver them.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +26,7 @@
 #include "sim/packet.h"
 #include "sim/queue_disc.h"
 #include "sim/simulator.h"
+#include "util/ring_buffer.h"
 #include "util/units.h"
 
 namespace dtdctcp::parsim {
@@ -31,9 +41,16 @@ class Port {
        std::unique_ptr<QueueDisc> disc)
       : sim_(&sim), rate_bps_(rate_bps), prop_delay_(prop_delay),
         disc_(std::move(disc)) {}
+  // Kernel entries (transmitter release, wire head) hold the port's
+  // address.
+  Port(const Port&) = delete;
+  Port& operator=(const Port&) = delete;
 
-  /// Sets the node packets are delivered to after propagation.
-  void attach_peer(Node* peer) { peer_ = peer; }
+  /// Sets the node packets are delivered to after propagation. Throws
+  /// std::logic_error while packets are on the wire, as do
+  /// bind_simulator and set_remote: the wire's packets are parked in,
+  /// and its head entry scheduled on, the current simulator.
+  void attach_peer(Node* peer);
 
   Node* peer() const { return peer_; }
 
@@ -41,14 +58,14 @@ class Port {
   /// partitioner, which builds the topology against the network's serial
   /// simulator and then moves each port onto its owning shard's
   /// simulator. Only legal before any traffic has run.
-  void bind_simulator(Simulator& sim) { sim_ = &sim; }
+  void bind_simulator(Simulator& sim);
   Simulator& simulator() { return *sim_; }
 
   /// Marks this port's link as crossing a shard boundary: transmitted
   /// packets are pushed into `mb` (timestamped with their arrival time
   /// at the peer) instead of being scheduled locally. nullptr restores
   /// direct local delivery.
-  void set_remote(parsim::Mailbox* mb) { remote_ = mb; }
+  void set_remote(parsim::Mailbox* mb);
   parsim::Mailbox* remote() const { return remote_; }
 
   /// Offers a packet for transmission (drops silently if the discipline
@@ -84,6 +101,8 @@ class Port {
   DataRate rate_bps() const { return rate_bps_; }
   SimTime prop_delay() const { return prop_delay_; }
   bool busy() const { return busy_; }
+  /// Packets serialized onto the local wire that have not yet arrived.
+  std::size_t packets_on_wire() const { return wire_.size(); }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -98,11 +117,20 @@ class Port {
   }
 
  private:
-  /// The kernel's typed tx-complete event re-enters here.
+  /// The kernel's typed tx-complete and wire-arrival events re-enter
+  /// here.
   friend class EventClosure;
+
+  struct InFlight {
+    SimTime arrival;
+    std::uint32_t seq;   ///< kernel insertion sequence, reserved at send
+    std::uint32_t slot;  ///< the packet, parked in the kernel's arena
+  };
 
   void begin_transmission(Packet pkt);
   void on_transmit_complete();
+  void on_wire_arrival();
+  void require_idle_wire(const char* what) const;
 
   Simulator* sim_;
   DataRate rate_bps_;
@@ -112,6 +140,7 @@ class Port {
   Node* peer_ = nullptr;
   TraceSink* trace_ = nullptr;
   const double* avail_frac_ = nullptr;
+  util::RingBuffer<InFlight> wire_;
   bool busy_ = false;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

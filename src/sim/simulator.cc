@@ -29,6 +29,50 @@ void EventClosure::tx_trampoline(void* payload) {
   (*std::launder(reinterpret_cast<Port**>(payload)))->on_transmit_complete();
 }
 
+void EventClosure::wire_trampoline(void* payload) {
+  (*std::launder(reinterpret_cast<Port**>(payload)))->on_wire_arrival();
+}
+
+namespace {
+
+// 4-ary heap sifts shared by the plain-event and the timer heap.
+// `place(e, pos)` stores an entry at a heap position (the timer heap
+// also mirrors the position into the entry's arena slot).
+template <typename E, typename Less, typename Place>
+void heap_sift_up(std::vector<E>& h, std::uint32_t pos, Less less,
+                  Place place) {
+  const E e = h[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) >> 2;
+    if (!less(e, h[parent])) break;
+    place(h[parent], pos);
+    pos = parent;
+  }
+  place(e, pos);
+}
+
+template <typename E, typename Less, typename Place>
+void heap_sift_down(std::vector<E>& h, std::uint32_t pos, Less less,
+                    Place place) {
+  const E e = h[pos];
+  const auto n = static_cast<std::uint32_t>(h.size());
+  for (;;) {
+    const std::uint32_t first = (pos << 2) + 1;
+    if (first >= n) break;
+    std::uint32_t best = first;
+    const std::uint32_t last = first + 4 < n ? first + 4 : n;
+    for (std::uint32_t c = first + 1; c < last; ++c) {
+      if (less(h[c], h[best])) best = c;
+    }
+    if (!less(h[best], e)) break;
+    place(h[best], pos);
+    pos = best;
+  }
+  place(e, pos);
+}
+
+}  // namespace
+
 Simulator::~Simulator() {
   // Slots are placement-constructed into raw chunk storage; destroy the
   // ones that were ever handed out (free-listed slots hold an empty
@@ -59,13 +103,6 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Simulator::push_entry(SimTime t, std::uint32_t slot_bits) {
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{clamp_time(t), next_seq_++, slot_bits});
-  if (slot_bits & kCancelBit) slot_ref(slot_bits & ~kCancelBit).pos = pos;
-  sift_up(pos);
-}
-
 void Simulator::flush_pending() {
   // Merging the unsorted pending buffer lazily yields the same pop
   // sequence as immediate insertion: (time, seq) is a strict total
@@ -79,7 +116,7 @@ void Simulator::flush_pending() {
     for (const HeapEntry& e : pending_) {
       const auto pos = static_cast<std::uint32_t>(heap_.size());
       heap_.push_back(e);
-      sift_up(pos);
+      sift_up_plain(pos);
     }
     pending_.clear();
     return;
@@ -95,7 +132,7 @@ void Simulator::flush_pending() {
   }
   // Large batch while the heap is (near-)empty — the "schedule the
   // whole experiment, then run" shape. Sort once and drain by cursor;
-  // the few heap entries (timers) ride along as an overlay.
+  // the few heap entries ride along as an overlay.
   sort_pending();
   if (sorted_drained()) {
     sorted_.clear();
@@ -107,7 +144,7 @@ void Simulator::flush_pending() {
     merged.reserve(sorted_.size() - cursor_ + p);
     std::merge(sorted_.begin() + static_cast<std::ptrdiff_t>(cursor_),
                sorted_.end(), pending_.begin(), pending_.end(),
-               std::back_inserter(merged), earlier);
+               std::back_inserter(merged), earlier<HeapEntry, HeapEntry>);
     sorted_.swap(merged);
     cursor_ = 0;
     pending_.clear();
@@ -163,81 +200,134 @@ void Simulator::heapify() {
   const auto n = static_cast<std::uint32_t>(heap_.size());
   if (n < 2) return;
   for (std::uint32_t i = (n - 2) >> 2; ; --i) {
-    sift_down(i);
+    sift_down_plain(i);
     if (i == 0) break;
   }
 }
 
-void Simulator::sift_up(std::uint32_t pos) {
-  const HeapEntry e = heap_[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) >> 2;
-    if (!earlier(e, heap_[parent])) break;
-    place(heap_[parent], pos);
-    pos = parent;
-  }
-  place(e, pos);
+// Plain events never touch the arena while sifting.
+void Simulator::sift_up_plain(std::uint32_t pos) {
+  heap_sift_up(heap_, pos, earlier<HeapEntry, HeapEntry>,
+               [this](const HeapEntry& e, std::uint32_t p) { heap_[p] = e; });
 }
 
-void Simulator::sift_down(std::uint32_t pos) {
-  const HeapEntry e = heap_[pos];
-  const auto n = static_cast<std::uint32_t>(heap_.size());
-  for (;;) {
-    const std::uint32_t first = (pos << 2) + 1;
-    if (first >= n) break;
-    std::uint32_t best = first;
-    const std::uint32_t last = first + 4 < n ? first + 4 : n;
-    for (std::uint32_t c = first + 1; c < last; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], e)) break;
-    place(heap_[best], pos);
-    pos = best;
-  }
-  place(e, pos);
+void Simulator::sift_down_plain(std::uint32_t pos) {
+  heap_sift_down(heap_, pos, earlier<HeapEntry, HeapEntry>,
+                 [this](const HeapEntry& e, std::uint32_t p) { heap_[p] = e; });
 }
 
-void Simulator::remove_at(std::uint32_t pos) {
-  const HeapEntry back = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the tail entry
-  place(back, pos);
-  if (pos > 0 && earlier(back, heap_[(pos - 1) >> 2])) {
-    sift_up(pos);
+void Simulator::wire_arrival_at(SimTime t, std::uint32_t seq, Port* port) {
+  heap_.push_back(port_entry(t, seq, &EventClosure::wire_trampoline, port));
+  sift_up_plain(static_cast<std::uint32_t>(heap_.size() - 1));
+}
+
+void Simulator::sift_up_timer(std::uint32_t pos) {
+  heap_sift_up(timers_, pos, earlier<TimerEntry, TimerEntry>,
+               [this](const TimerEntry& e, std::uint32_t p) {
+                 timers_[p] = e;
+                 slot_ref(e.slot & ~kStaleBit).pos = p;
+               });
+}
+
+void Simulator::sift_down_timer(std::uint32_t pos) {
+  heap_sift_down(timers_, pos, earlier<TimerEntry, TimerEntry>,
+                 [this](const TimerEntry& e, std::uint32_t p) {
+                   timers_[p] = e;
+                   slot_ref(e.slot & ~kStaleBit).pos = p;
+                 });
+}
+
+void Simulator::push_timer(TimerEntry e) {
+  timers_.push_back(e);
+  sift_up_timer(static_cast<std::uint32_t>(timers_.size() - 1));
+}
+
+void Simulator::remove_timer(std::uint32_t pos) {
+  const TimerEntry back = timers_.back();
+  timers_.pop_back();
+  if (pos == timers_.size()) return;  // removed the tail entry
+  timers_[pos] = back;
+  slot_ref(back.slot & ~kStaleBit).pos = pos;
+  if (pos > 0 && earlier(back, timers_[(pos - 1) >> 2])) {
+    sift_up_timer(pos);
   } else {
-    sift_down(pos);
+    sift_down_timer(pos);
+  }
+}
+
+// A stale top's heap key is only a lower bound: load the true key from
+// its slot and sift it down until the top is fresh. The fresh top's key
+// is then <= every heap key, which bounds every true key from below, so
+// it is the earliest timer.
+void Simulator::settle_timer_top() {
+  while (timers_.front().slot & kStaleBit) {
+    const std::uint32_t slot = timers_.front().slot & ~kStaleBit;
+    const Slot& s = slot_ref(slot);
+    timers_.front() = TimerEntry{s.due, s.due_seq, slot};
+    sift_down_timer(0);
   }
 }
 
 bool Simulator::cancel(TimerHandle& h) {
-  const std::uint32_t slot = h.slot;
-  const std::uint32_t gen = h.gen;
+  const TimerHandle old = h;
   h = TimerHandle{};
-  if (slot == TimerHandle::kInvalid || slot >= slot_count_) return false;
-  if (slot_ref(slot).gen != gen) return false;  // fired or already cancelled
-  const std::uint32_t pos = slot_ref(slot).pos;
-  release_slot(slot);
-  remove_at(pos);
+  if (!live(old)) return false;  // fired, already cancelled, or default
+  const std::uint32_t pos = slot_ref(old.slot).pos;
+  release_slot(old.slot);
+  remove_timer(pos);
   ++cancelled_;
+  return true;
+}
+
+bool Simulator::reschedule(TimerHandle& h, SimTime t) {
+  if (!live(h)) {
+    h = TimerHandle{};
+    return false;
+  }
+  const TimerEntry key{clamp_time(t), next_seq_++, h.slot};
+  ++cancelled_;
+  Slot& s = slot_ref(h.slot);
+  TimerEntry& e = timers_[s.pos];
+  if (earlier(key, e)) {
+    // Earlier than the entry's (lower-bound) key: move it up now.
+    e = key;
+    sift_up_timer(s.pos);
+  } else {
+    // Later (the common ACK-driven restart): the heap keeps the old key
+    // until the entry reaches the top.
+    s.due = key.time;
+    s.due_seq = key.seq;
+    e.slot = h.slot | kStaleBit;
+  }
   return true;
 }
 
 // Runs one event. The entry is taken by value: in-entry payloads run
 // straight out of the copy; arena payloads run *in place* — slot
 // addresses are stable (chunked arena), so nothing is moved on the hot
-// path. For arena events the generation is bumped before the handler
-// runs (a handler cancelling its own, already-firing timer must be a
-// no-op), but the slot only joins the free list afterwards, so events
-// the handler schedules cannot reuse the storage of the payload that is
-// still executing.
+// path.
 void Simulator::fire(HeapEntry e) {
-  now_ = e.time;
-  ++processed_;
   if (e.slot == kInlineSlot) {
+    now_ = e.time;
+    ++processed_;
     e.fn(e.payload);
     return;
   }
-  const std::uint32_t slot = e.slot & ~kCancelBit;
+  fire_slot(e.time, e.slot);
+}
+
+// For arena events the generation is bumped before the handler runs (a
+// handler cancelling or rescheduling its own, already-firing timer must
+// be a no-op), but the slot only joins the free list afterwards, so
+// events the handler schedules cannot reuse the storage of the payload
+// that is still executing.
+void Simulator::fire_slot(SimTime time, std::uint32_t slot) {
+  now_ = time;
+  ++processed_;
+  run_slot(slot);
+}
+
+void Simulator::run_slot(std::uint32_t slot) {
   Slot& s = slot_ref(slot);
   ++s.gen;
   s.fn.invoke();
@@ -246,82 +336,92 @@ void Simulator::fire(HeapEntry e) {
   free_head_ = slot;
 }
 
-void Simulator::step() {
-  if (cursor_ < sorted_.size() &&
-      (heap_.empty() || earlier(sorted_[cursor_], heap_.front()))) {
-    const HeapEntry e = sorted_[cursor_++];
-    if (cursor_ < sorted_.size()) {
-      // The drain order is known ahead of time; pull the next arena
-      // payload toward the cache while this event runs.
-      const std::uint32_t nx = sorted_[cursor_].slot;
-      if (nx != kInlineSlot) __builtin_prefetch(&slot_ref(nx & ~kCancelBit));
-    } else {
-      sorted_.clear();
-      cursor_ = 0;
-    }
-    fire(e);
-    return;
-  }
-  const HeapEntry top = heap_.front();
-  const HeapEntry back = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    place(back, 0);
-    sift_down(0);
-  }
-  fire(top);
-}
-
-void Simulator::run() {
-  stopped_ = false;
-  for (;;) {
-    if (!pending_.empty()) flush_pending();
-    if (stopped_ || (heap_.empty() && cursor_ == sorted_.size())) break;
-    step();
-  }
-}
-
-SimTime Simulator::next_event_time() {
+// Flushes the pending buffer and settles the timer heap, then names the
+// queue whose head is the earliest event.
+Simulator::Next Simulator::next_source() {
   if (!pending_.empty()) flush_pending();
-  SimTime next = std::numeric_limits<SimTime>::infinity();
-  if (!heap_.empty()) next = heap_.front().time;
-  if (cursor_ < sorted_.size() && sorted_[cursor_].time < next) {
-    next = sorted_[cursor_].time;
+  Next next{Source::kNone, std::numeric_limits<SimTime>::infinity()};
+  const HeapEntry* plain = nullptr;
+  if (!heap_.empty()) {
+    plain = &heap_.front();
+    next.src = Source::kHeap;
+  }
+  if (cursor_ < sorted_.size() &&
+      (plain == nullptr || earlier(sorted_[cursor_], *plain))) {
+    plain = &sorted_[cursor_];
+    next.src = Source::kSorted;
+  }
+  if (plain != nullptr) next.time = plain->time;
+  if (!timers_.empty()) {
+    settle_timer_top();
+    if (plain == nullptr || earlier(timers_.front(), *plain)) {
+      next = Next{Source::kTimer, timers_.front().time};
+    }
   }
   return next;
 }
 
+void Simulator::step(Source src) {
+  switch (src) {
+    case Source::kNone:
+      return;
+    case Source::kSorted: {
+      const HeapEntry e = sorted_[cursor_++];
+      if (cursor_ < sorted_.size()) {
+        // The drain order is known ahead of time; pull the next arena
+        // payload toward the cache while this event runs.
+        const std::uint32_t nx = sorted_[cursor_].slot;
+        if (nx != kInlineSlot) __builtin_prefetch(&slot_ref(nx));
+      } else {
+        sorted_.clear();
+        cursor_ = 0;
+      }
+      fire(e);
+      return;
+    }
+    case Source::kHeap: {
+      const HeapEntry top = heap_.front();
+      heap_.front() = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down_plain(0);
+      fire(top);
+      return;
+    }
+    case Source::kTimer: {
+      const TimerEntry top = timers_.front();
+      remove_timer(0);
+      fire_slot(top.time, top.slot);
+      return;
+    }
+  }
+}
+
+void Simulator::run() {
+  stopped_ = false;
+  while (!stopped_) {
+    const Next next = next_source();
+    if (next.src == Source::kNone) break;
+    step(next.src);
+  }
+}
+
+SimTime Simulator::next_event_time() { return next_source().time; }
+
 void Simulator::run_window(SimTime end) {
   stopped_ = false;
-  for (;;) {
-    if (!pending_.empty()) flush_pending();
-    if (stopped_) break;
-    const bool have_sorted = cursor_ < sorted_.size();
-    if (heap_.empty()) {
-      if (!have_sorted || sorted_[cursor_].time >= end) break;
-    } else if (have_sorted) {
-      if (std::min(heap_.front().time, sorted_[cursor_].time) >= end) break;
-    } else if (heap_.front().time >= end) {
-      break;
-    }
-    step();
+  while (!stopped_) {
+    const Next next = next_source();
+    if (next.src == Source::kNone || next.time >= end) break;
+    step(next.src);
   }
 }
 
 void Simulator::run_until(SimTime t) {
   stopped_ = false;
-  for (;;) {
-    if (!pending_.empty()) flush_pending();
-    if (stopped_) break;
-    const bool have_sorted = cursor_ < sorted_.size();
-    if (heap_.empty()) {
-      if (!have_sorted || sorted_[cursor_].time > t) break;
-    } else if (have_sorted) {
-      if (std::min(heap_.front().time, sorted_[cursor_].time) > t) break;
-    } else if (heap_.front().time > t) {
-      break;
-    }
-    step();
+  while (!stopped_) {
+    const Next next = next_source();
+    if (next.src == Source::kNone || next.time > t) break;
+    step(next.src);
   }
   if (!stopped_ && now_ < t) now_ = t;
 }

@@ -5,16 +5,24 @@
 // pipelines deterministic. Because that order is a *total* order, the
 // kernel is free to organise its queue however it likes — every valid
 // arrangement pops in exactly the same sequence. It exploits that
-// freedom twice: plain (non-cancellable) events are appended to an
-// unsorted pending buffer in O(1) and bulk-merged into a 4-ary heap of
-// small 16-byte entries only when the run loop next needs the minimum;
-// payloads live out-of-line in a chunked, recycled slot arena with
-// stable addresses, so the steady-state hot path performs no heap
-// allocation and payloads never move once placed. Timers scheduled
-// through `timer_at` / `timer_after` return a generation-counted
-// `TimerHandle` and can be cancelled in O(log n) — a cancelled timer is
-// removed from the queue immediately instead of lingering until its
-// fire time.
+// freedom in four ways:
+//
+//   * Plain (non-cancellable) events are appended to an unsorted
+//     pending buffer in O(1) and bulk-merged into a 4-ary heap of
+//     32-byte entries only when the run loop next needs the minimum.
+//   * Cancellable timers live in a second 4-ary heap of 16-byte
+//     entries. `reschedule` moves a live timer in place; a later
+//     deadline only records the new key in the timer's slot, and the
+//     stale heap entry is re-keyed when it reaches the top. A timer
+//     restarted on every ACK therefore costs no sift per restart.
+//   * A Port keeps the keys of the packets it has serialized in its
+//     own FIFO (see port.h), the packets themselves parked in the slot
+//     arena, and the kernel holds one entry for the FIFO's head, keyed
+//     by the (time, seq) reserved when that packet was sent.
+//   * Payloads live out-of-line in a chunked, recycled slot arena with
+//     stable addresses, or inside the queue entry when they are one
+//     pointer, so the steady-state hot path performs no heap
+//     allocation and payloads never move once placed.
 #pragma once
 
 #include <cassert>
@@ -48,16 +56,16 @@ struct TimerHandle {
 
 /// Move-only type-erased `void()` closure with fixed inline storage.
 ///
-/// The inline capture budget is pinned to the port hot path: delivering a
-/// packet to a peer node (a `Node*` plus a `Packet` by value) must fit,
+/// The inline capture budget is pinned to the packet hot path: delivering
+/// a packet to a peer node (a `Node*` plus a `Packet` by value) must fit,
 /// so per-hop events never allocate. Larger captures fall back to the
 /// heap — acceptable for setup/teardown closures, never for per-packet
 /// ones (hot call sites static_assert `kFitsInline`).
 ///
-/// The two per-packet events (peer delivery, transmitter release) are
-/// additionally stored as *typed* payloads — a tag plus raw fields — so
-/// the kernel dispatches them with a switch instead of an indirect call
-/// through an erased function pointer.
+/// A cross-shard arrival (parsim's `deliver_at`) is additionally stored
+/// as a *typed* payload — a tag plus raw fields — so the kernel
+/// dispatches it with a switch instead of an indirect call through an
+/// erased function pointer.
 class EventClosure {
  public:
   static constexpr std::size_t kInlineBytes = sizeof(void*) + sizeof(Packet);
@@ -113,9 +121,11 @@ class EventClosure {
     kind_ = Kind::kDeliver;
   }
 
-  /// In-entry trampoline for the transmitter-release event (lives here
-  /// so Port can grant access with a single friend declaration).
+  /// In-entry trampolines for the transmitter-release and wire-arrival
+  /// events (they live here so Port can grant access with a single
+  /// friend declaration).
   static void tx_trampoline(void* payload);
+  static void wire_trampoline(void* payload);
 
   void reset() {
     if (kind_ == Kind::kInline || kind_ == Kind::kHeap) {
@@ -226,6 +236,7 @@ class Simulator {
         past_clamps_(other.past_clamps_),
         stopped_(other.stopped_),
         heap_(std::move(other.heap_)),
+        timers_(std::move(other.timers_)),
         pending_(std::move(other.pending_)),
         sorted_(std::move(other.sorted_)),
         cursor_(other.cursor_),
@@ -279,7 +290,7 @@ class Simulator {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.fn.emplace(std::forward<F>(fn));
-    push_entry(t, slot | kCancelBit);
+    push_timer(TimerEntry{clamp_time(t), next_seq_++, slot});
     return TimerHandle{slot, s.gen};
   }
   template <typename F>
@@ -293,35 +304,55 @@ class Simulator {
   /// handle is reset either way.
   bool cancel(TimerHandle& h);
 
-  /// Typed fast path: delivers `pkt` to `peer` after `dt` (Port's
-  /// propagation event — dispatched without type erasure).
-  void deliver_after(SimTime dt, Node* peer, Packet pkt) {
-    const std::uint32_t slot = acquire_slot();
-    slot_ref(slot).fn.set_deliver(peer, std::move(pkt));
-    defer_entry(now_ + dt, slot);
-  }
+  /// Moves a pending timer to absolute time `t`, keeping its callable
+  /// and its handle. Ordering is exactly that of cancel + timer_at: the
+  /// timer takes a fresh insertion sequence number here, and the
+  /// restart counts in timers_cancelled(). Returns false (and resets
+  /// the handle) if the timer already fired or was cancelled; the
+  /// caller then schedules a new one.
+  bool reschedule(TimerHandle& h, SimTime t);
 
   /// Typed fast path at an absolute time: how cross-shard arrivals enter
   /// a shard's queue (parsim mailbox drain). The timestamp was computed
   /// on the sending shard; conservative lookahead guarantees it is never
   /// in this shard's past, but clamp_time still applies as a backstop.
+  /// A Port also uses it for the rare arrival that rounding puts ahead
+  /// of the packet before it on the wire.
   void deliver_at(SimTime t, Node* peer, Packet pkt) {
+    defer_entry(t, park(peer, std::move(pkt)));
+  }
+
+  /// Stores a packet bound for `peer` in the payload arena and returns
+  /// its slot, for deliver_parked. A Port's wire parks its in-flight
+  /// packets here and keeps only 16-byte keys itself, so packets in
+  /// flight on every port share the arena's recycled slots.
+  std::uint32_t park(Node* peer, Packet pkt) {
     const std::uint32_t slot = acquire_slot();
     slot_ref(slot).fn.set_deliver(peer, std::move(pkt));
-    defer_entry(t, slot);
+    return slot;
   }
+
+  /// Delivers a parked packet and recycles its slot. Called from the
+  /// wire-arrival event, which has already set the clock.
+  void deliver_parked(std::uint32_t slot) { run_slot(slot); }
 
   /// Typed fast path: releases `port`'s transmitter after `dt`. The
   /// payload is one pointer, so it rides in the queue entry itself.
   void tx_complete_after(SimTime dt, Port* port) {
-    HeapEntry e;
-    e.time = clamp_time(now_ + dt);
-    e.seq = next_seq_++;
-    e.slot = kInlineSlot;
-    e.fn = &EventClosure::tx_trampoline;
-    ::new (static_cast<void*>(e.payload)) Port*(port);
-    pending_.push_back(e);
+    pending_.push_back(port_entry(clamp_time(now_ + dt), next_seq_++,
+                                  &EventClosure::tx_trampoline, port));
   }
+
+  /// Takes the next insertion sequence number for an event whose queue
+  /// entry is created later: a Port reserves one per packet it puts on
+  /// its wire, when the packet starts serializing.
+  std::uint32_t reserve_seq() { return next_seq_++; }
+
+  /// Typed fast path: the arrival of the packet at the head of `port`'s
+  /// wire, keyed by the (time, seq) reserved when it was sent. The seq
+  /// is older than those in the pending buffer, so the entry goes
+  /// straight into the heap.
+  void wire_arrival_at(SimTime t, std::uint32_t seq, Port* port);
 
   /// Runs until the event queue drains or stop() is called.
   void run();
@@ -349,13 +380,17 @@ class Simulator {
 
   std::uint64_t events_processed() const { return processed_; }
   bool empty() const {
-    return heap_.empty() && pending_.empty() && cursor_ == sorted_.size();
+    return heap_.empty() && timers_.empty() && pending_.empty() &&
+           cursor_ == sorted_.size();
   }
 
-  /// Pending (live) events in the queue. Cancelled timers are removed
-  /// eagerly, so a flow that re-arms its RTO holds exactly one slot.
+  /// Kernel entries: plain events, live timers, and one entry per port
+  /// wire that holds packets (the packets themselves are not counted).
+  /// Cancelled timers are removed eagerly and a rescheduled timer keeps
+  /// its entry, so a flow that restarts its RTO holds exactly one.
   std::size_t queue_size() const {
-    return heap_.size() + pending_.size() + (sorted_.size() - cursor_);
+    return heap_.size() + timers_.size() + pending_.size() +
+           (sorted_.size() - cursor_);
   }
 
   std::uint64_t timers_cancelled() const { return cancelled_; }
@@ -370,9 +405,7 @@ class Simulator {
   // in the queue were scheduled within 2^31 schedules of each other
   // (real queues are orders of magnitude smaller).
   //
-  // `slot` selects the payload's home: an arena slot id (bit 31 marks a
-  // cancellable entry whose arena slot mirrors its heap position —
-  // plain events never touch the arena while sifting), or the
+  // `slot` selects the payload's home: an arena slot id, or the
   // kInlineSlot sentinel meaning the payload lives *in the entry*:
   // `fn` is a plain function pointer and `payload` holds a small
   // trivially-copyable capture. In-entry events bypass the arena
@@ -386,6 +419,19 @@ class Simulator {
   };
   static_assert(sizeof(HeapEntry) == 32);
 
+  // Timer-heap entries are 16 bytes; the payload is always in the
+  // arena, whose slot mirrors the entry's heap position (for cancel and
+  // reschedule). The key is a lower bound of the timer's true key: a
+  // reschedule to a later deadline stores the new key in the slot and
+  // sets kStaleBit, and the entry is re-keyed from the slot when it
+  // reaches the top of the timer heap (settle_timer_top).
+  struct TimerEntry {
+    SimTime time;
+    std::uint32_t seq;
+    std::uint32_t slot;  ///< arena slot id, | kStaleBit while re-keying
+  };
+  static_assert(sizeof(TimerEntry) == 16);
+
   /// Captures storable directly in a queue entry. Trivial copyability
   /// is required because entries relocate by memcpy during sorting and
   /// sifting.
@@ -396,21 +442,32 @@ class Simulator {
   struct Slot {
     EventClosure fn;
     std::uint32_t gen = 0;
-    std::uint32_t pos = 0;  ///< heap index (cancellable) or free-list link
+    std::uint32_t pos = 0;  ///< timer-heap index (timers) or free-list link
+    std::uint32_t due_seq = 0;  ///< a stale timer's true key: (due, due_seq)
+    SimTime due = 0.0;
   };
 
-  static constexpr std::uint32_t kCancelBit = 0x80000000u;
-  /// `slot` sentinel for in-entry payloads (no arena slot, no cancel
-  /// bit, and above any reachable arena id).
+  static constexpr std::uint32_t kStaleBit = 0x80000000u;
+  /// `slot` sentinel for in-entry payloads (no arena slot; above any
+  /// reachable arena id).
   static constexpr std::uint32_t kInlineSlot = 0x7fffffffu;
-  // 256 slots (~40 KiB) per chunk: small enough that glibc serves chunks
+  // 256 slots (32 KiB) per chunk: small enough that glibc serves chunks
   // from its recycled arena instead of fresh mmap'd pages, so repeated
   // simulator construction reuses warm memory.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+  /// Which queue holds the earliest event, and its time (+infinity
+  /// when the kernel is empty); see next_source.
+  enum class Source : std::uint8_t { kNone, kHeap, kSorted, kTimer };
+  struct Next {
+    Source src;
+    SimTime time;
+  };
+
+  template <typename A, typename B>
+  static bool earlier(const A& a, const B& b) {
     if (a.time != b.time) return a.time < b.time;
     return static_cast<std::int32_t>(a.seq - b.seq) < 0;
   }
@@ -458,22 +515,39 @@ class Simulator {
     return e;
   }
 
+  /// An in-entry event whose payload is one Port pointer.
+  static HeapEntry port_entry(SimTime t, std::uint32_t seq,
+                              void (*fn)(void*), Port* port) {
+    HeapEntry e;
+    e.time = t;
+    e.seq = seq;
+    e.slot = kInlineSlot;
+    e.fn = fn;
+    ::new (static_cast<void*>(e.payload)) Port*(port);
+    return e;
+  }
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void push_entry(SimTime t, std::uint32_t slot_bits);
   void flush_pending();
   void sort_pending();
   void heapify();
-  void remove_at(std::uint32_t pos);
-  void sift_up(std::uint32_t pos);
-  void sift_down(std::uint32_t pos);
-  void place(const HeapEntry& e, std::uint32_t pos) {
-    heap_[pos] = e;
-    if (e.slot & kCancelBit) slot_ref(e.slot & ~kCancelBit).pos = pos;
+  void sift_up_plain(std::uint32_t pos);
+  void sift_down_plain(std::uint32_t pos);
+  void push_timer(TimerEntry e);
+  void remove_timer(std::uint32_t pos);
+  void sift_up_timer(std::uint32_t pos);
+  void sift_down_timer(std::uint32_t pos);
+  void settle_timer_top();
+  bool live(const TimerHandle& h) {
+    return h.slot < slot_count_ && slot_ref(h.slot).gen == h.gen;
   }
   bool sorted_drained() const { return cursor_ == sorted_.size(); }
+  Next next_source();
   void fire(HeapEntry e);
-  void step();
+  void fire_slot(SimTime time, std::uint32_t slot);
+  void run_slot(std::uint32_t slot);
+  void step(Source src);
 
   SimTime now_ = 0.0;
   std::uint32_t next_seq_ = 0;
@@ -481,7 +555,8 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::uint64_t past_clamps_ = 0;
   bool stopped_ = false;
-  std::vector<HeapEntry> heap_;
+  std::vector<HeapEntry> heap_;     ///< plain events
+  std::vector<TimerEntry> timers_;  ///< cancellable timers
   std::vector<HeapEntry> pending_;
   // Sorted-run fast path: a large pending batch arriving while the heap
   // is (near-)empty — the "schedule everything, then run" shape of

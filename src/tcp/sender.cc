@@ -379,7 +379,7 @@ void TcpSender::try_send() {
 }
 
 void TcpSender::arm_pace_timer() {
-  sim_.cancel(pace_timer_);
+  if (sim_.reschedule(pace_timer_, pace_next_)) return;
   auto fire = [this] { try_send(); };
   static_assert(sim::EventClosure::kFitsInline<decltype(fire)>,
                 "pace timer must not allocate");
@@ -410,11 +410,11 @@ void TcpSender::send_segment(std::int64_t seq, bool retransmit) {
 }
 
 void TcpSender::arm_rto() {
-  // Rearming cancels the predecessor: the queue holds one RTO entry per
+  // Rearming moves the live timer: the queue holds one RTO entry per
   // flow no matter how many times ACKs restart the timer.
-  sim_.cancel(rto_timer_);
   const SimTime timeout =
       std::min(cfg_.max_rto, rto_ * static_cast<double>(1u << std::min(backoff_, 16u)));
+  if (sim_.reschedule(rto_timer_, sim_.now() + timeout)) return;
   auto fire = [this] { on_rto_fired(); };
   static_assert(sim::EventClosure::kFitsInline<decltype(fire)>,
                 "RTO timer must not allocate");

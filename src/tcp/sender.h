@@ -184,8 +184,8 @@ class TcpSender final : public sim::PacketSink {
   stats::TimeSeries cwnd_trace_;
   std::function<void(SimTime)> on_complete_;
 
-  // Cancellable kernel timers. Rearming cancels the predecessor, so the
-  // event queue holds at most one entry per timer; the destructor
+  // Cancellable kernel timers. Rearming reschedules the live timer, so
+  // the event queue holds at most one entry per timer; the destructor
   // cancels all three, so a sender destroyed mid-run (e.g. between
   // Incast query rounds) leaves no closure behind that could fire into
   // freed memory.

@@ -215,7 +215,9 @@ TEST(FatTree, PolarizedEcmpCollapsesEachAggToOneUplink) {
     for (std::size_t port : core_uplinks(ft, agg)) {
       agg_traffic += agg->port(port).packets_sent();
     }
-    if (agg_traffic > 0) EXPECT_EQ(per_agg[j], 1);
+    if (agg_traffic > 0) {
+      EXPECT_EQ(per_agg[j], 1);
+    }
   }
   EXPECT_LE(total_used, 2);
 }

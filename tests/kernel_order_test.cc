@@ -1,0 +1,430 @@
+// Differential test of the event kernel against a reference model.
+//
+// The model keeps every pending event in a flat list and pops the one
+// with the smallest (time, seq) by linear scan — the determinism
+// contract written as plainly as possible. A seeded random script of
+// at / after / timer_at / cancel / reschedule calls (scheduled both
+// from the driver and from inside handlers) runs against both, driven
+// through run_until, run_window, run, stop() and next_event_time(). The
+// script's own random draws happen inside handlers, so any divergence
+// in fire order shows up as a mismatch at the first differing event.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <limits>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "sim/simulator.h"
+
+namespace dtdctcp {
+namespace {
+
+class ReferenceSim {
+ public:
+  struct Handle {
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    std::size_t id = kNone;
+  };
+
+  SimTime now() const { return now_; }
+
+  template <typename F>
+  void at(SimTime t, F&& fn) {
+    add(t, std::forward<F>(fn));
+  }
+  template <typename F>
+  void after(SimTime dt, F&& fn) {
+    add(now_ + dt, std::forward<F>(fn));
+  }
+  template <typename F>
+  Handle timer_at(SimTime t, F&& fn) {
+    return Handle{add(t, std::forward<F>(fn))};
+  }
+
+  bool cancel(Handle& h) {
+    const std::size_t id = h.id;
+    h = Handle{};
+    if (id == Handle::kNone || !events_[id].live) return false;
+    kill(id);
+    ++cancelled_;
+    return true;
+  }
+
+  // A restart is cancel + timer_at with the same callable.
+  bool reschedule(Handle& h, SimTime t) {
+    if (h.id == Handle::kNone || !events_[h.id].live) {
+      h = Handle{};
+      return false;
+    }
+    events_[h.id].time = clamp(t);
+    events_[h.id].seq = next_seq_++;
+    ++cancelled_;
+    return true;
+  }
+
+  void stop() { stopped_ = true; }
+
+  void run() {
+    stopped_ = false;
+    while (!stopped_ && !live_.empty()) fire(earliest());
+  }
+
+  void run_until(SimTime t) {
+    stopped_ = false;
+    while (!stopped_ && !live_.empty()) {
+      const std::size_t i = earliest();
+      if (events_[live_[i]].time > t) break;
+      fire(i);
+    }
+    if (!stopped_ && now_ < t) now_ = t;
+  }
+
+  void run_window(SimTime end) {
+    stopped_ = false;
+    while (!stopped_ && !live_.empty()) {
+      const std::size_t i = earliest();
+      if (events_[live_[i]].time >= end) break;
+      fire(i);
+    }
+  }
+
+  SimTime next_event_time() const {
+    if (live_.empty()) return std::numeric_limits<SimTime>::infinity();
+    return events_[live_[earliest()]].time;
+  }
+
+  std::size_t queue_size() const { return live_.size(); }
+  std::uint64_t timers_cancelled() const { return cancelled_; }
+  std::uint64_t past_schedule_clamps() const { return clamps_; }
+  std::uint64_t events_processed() const { return processed_; }
+
+ private:
+  struct Event {
+    SimTime time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool live;
+  };
+
+  SimTime clamp(SimTime t) {
+    if (t < now_) {
+      ++clamps_;
+      return now_;
+    }
+    return t;
+  }
+
+  template <typename F>
+  std::size_t add(SimTime t, F&& fn) {
+    events_.push_back(
+        Event{clamp(t), next_seq_++, std::forward<F>(fn), true});
+    live_.push_back(events_.size() - 1);
+    return events_.size() - 1;
+  }
+
+  // Index into live_ of the earliest pending event (live_ non-empty).
+  std::size_t earliest() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < live_.size(); ++i) {
+      const Event& a = events_[live_[i]];
+      const Event& b = events_[live_[best]];
+      if (a.time < b.time || (a.time == b.time && a.seq < b.seq)) best = i;
+    }
+    return best;
+  }
+
+  void kill(std::size_t id) {
+    events_[id].live = false;
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      if (live_[i] == id) {
+        live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+  }
+
+  void fire(std::size_t live_index) {
+    const std::size_t id = live_[live_index];
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(live_index));
+    events_[id].live = false;
+    now_ = events_[id].time;
+    ++processed_;
+    std::function<void()> fn = std::move(events_[id].fn);
+    fn();
+  }
+
+  SimTime now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t clamps_ = 0;
+  std::uint64_t processed_ = 0;
+  bool stopped_ = false;
+  std::deque<Event> events_;
+  std::vector<std::size_t> live_;
+};
+
+// One observation: what happened (kind), which event or result (id), the
+// clock or probed time, and the kernel counters at that moment.
+using Record = std::tuple<int, long, SimTime, std::size_t, std::uint64_t,
+                          std::uint64_t>;
+
+enum Kind : int {
+  kFire,
+  kTimerFire,
+  kCancel,
+  kReschedule,
+  kOwnReschedule,
+  kNextEvent,
+  kAfterRun,
+  kEnd,
+};
+
+template <typename Sim>
+class Script {
+ public:
+  explicit Script(std::uint64_t seed) : state_(seed) {}
+
+  std::vector<Record> run(int budget) {
+    budget_ = budget;
+    // Setup burst at time zero, large enough for the kernel's
+    // sorted-run path, plus a few timers.
+    for (int i = 0; i < 40; ++i) schedule_plain();
+    for (int i = 0; i < 10; ++i) new_timer();
+    for (int round = 0; round < 400 && sim_.queue_size() > 0; ++round) {
+      switch (pick(4)) {
+        case 0:
+          sim_.run_until(sim_.now() + window());
+          break;
+        case 1: {
+          const SimTime next = sim_.next_event_time();
+          note(kNextEvent, 0, next);
+          sim_.run_window(next + window());
+          break;
+        }
+        case 2:
+          sim_.run();  // until a handler calls stop() or the queue drains
+          break;
+        default:
+          note(kNextEvent, 1, sim_.next_event_time());
+          break;
+      }
+      note(kAfterRun, round, sim_.now());
+    }
+    budget_ = 0;
+    sim_.run();
+    note(kEnd, static_cast<long>(sim_.events_processed()), sim_.now());
+    return std::move(log_);
+  }
+
+ private:
+  using Handle = decltype(std::declval<Sim&>().timer_at(0.0, [] {}));
+  struct Timer {
+    Handle h;
+    SimTime due;
+  };
+  // A one-pointer capture: the kernel stores it inside the queue entry.
+  struct Rec {
+    Script* owner;
+    long id;
+  };
+
+  std::uint64_t next_random() {  // splitmix64
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  int pick(int n) { return static_cast<int>(next_random() % n); }
+
+  // Delays on a coarse dyadic grid, so equal times are common and exact;
+  // a few are negative (past schedules, which the kernel clamps).
+  SimTime delay() {
+    static constexpr SimTime kGrid[] = {0.0, 0.0,  0.25, 0.5,  0.5,
+                                        1.0, 1.5,  2.0,  4.0,  -0.25};
+    return kGrid[pick(10)];
+  }
+  SimTime window() { return 0.25 * pick(8); }
+
+  void note(int kind, long id, SimTime t) {
+    log_.emplace_back(kind, id, t, sim_.queue_size(), sim_.timers_cancelled(),
+                      sim_.past_schedule_clamps());
+  }
+
+  bool spend() {
+    if (budget_ <= 0) return false;
+    --budget_;
+    return true;
+  }
+
+  void schedule_plain() {
+    if (!spend()) return;
+    const long id = next_id_++;
+    if (pick(2) == 0) {
+      sim_.at(sim_.now() + delay(), [this, id] { on_fire(id); });
+    } else {
+      recs_.push_back(Rec{this, id});
+      Rec* rec = &recs_.back();
+      sim_.after(delay(), [rec] { rec->owner->on_fire(rec->id); });
+    }
+  }
+
+  void new_timer() {
+    if (!spend()) return;
+    const std::size_t k = timers_.size();
+    const SimTime due = sim_.now() + delay();
+    timers_.push_back(Timer{
+        sim_.timer_at(due, [this, k] { on_timer(k); }), due});
+  }
+
+  Timer& any_timer() { return timers_[pick(static_cast<int>(timers_.size()))]; }
+
+  SimTime moved(const Timer& t) {
+    switch (pick(3)) {
+      case 0:
+        return t.due - 0.25 * (1 + pick(4));  // earlier (may be past)
+      case 1:
+        return t.due + 0.25 * (1 + pick(4));  // later
+      default:
+        return t.due;  // equal time, fresh seq
+    }
+  }
+
+  void reschedule(Timer& t, SimTime due) {
+    note(kReschedule, sim_.reschedule(t.h, due) ? 1 : 0, due);
+    t.due = due < sim_.now() ? sim_.now() : due;
+  }
+
+  void act() {
+    for (int n = pick(4); n > 0 && budget_ > 0; --n) {
+      switch (pick(9)) {
+        case 0:
+        case 1:
+          schedule_plain();
+          break;
+        case 2:
+          new_timer();
+          break;
+        case 3: {
+          Timer& t = any_timer();
+          note(kCancel, sim_.cancel(t.h) ? 1 : 0, sim_.now());
+          break;
+        }
+        case 4:
+        case 5: {
+          Timer& t = any_timer();
+          reschedule(t, moved(t));
+          break;
+        }
+        case 6: {  // cancel right after a lazy (later) reschedule
+          Timer& t = any_timer();
+          reschedule(t, t.due + 1.0);
+          note(kCancel, sim_.cancel(t.h) ? 1 : 0, sim_.now());
+          break;
+        }
+        case 7:  // a burst through the kernel's batch merge paths
+          for (int i = 0; i < 30; ++i) schedule_plain();
+          break;
+        default:
+          if (pick(4) == 0) sim_.stop();
+          break;
+      }
+    }
+  }
+
+  void on_fire(long id) {
+    note(kFire, id, sim_.now());
+    act();
+  }
+
+  void on_timer(std::size_t k) {
+    note(kTimerFire, static_cast<long>(k), sim_.now());
+    if (pick(3) == 0) {
+      // The firing timer is no longer pending: rescheduling it from its
+      // own handler fails and the handler arms a new one, like TCP's RTO.
+      const bool ok = sim_.reschedule(timers_[k].h, sim_.now() + delay());
+      note(kOwnReschedule, ok ? 1 : 0, sim_.now());
+      if (!ok && spend()) {
+        const SimTime due = sim_.now() + 1.0;
+        timers_[k] = Timer{sim_.timer_at(due, [this, k] { on_timer(k); }), due};
+      }
+    }
+    act();
+  }
+
+  Sim sim_;
+  std::uint64_t state_;
+  int budget_ = 0;
+  long next_id_ = 0;
+  std::vector<Timer> timers_;
+  std::deque<Rec> recs_;
+  std::vector<Record> log_;
+};
+
+TEST(KernelOrder, MatchesReferenceModelOnRandomScripts) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<Record> want = Script<ReferenceSim>(seed).run(1200);
+    const std::vector<Record> got = Script<sim::Simulator>(seed).run(1200);
+    ASSERT_GT(want.size(), 1000u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "first divergence at record " << i;
+    }
+  }
+}
+
+TEST(KernelOrder, LazyRescheduleFiresAtTheNewKey) {
+  sim::Simulator s;
+  std::vector<int> order;
+  sim::TimerHandle a = s.timer_at(1.0, [&] { order.push_back(0); });
+  s.at(2.0, [&] { order.push_back(1); });
+  s.at(3.0, [&] { order.push_back(2); });
+  // Later: the heap keeps the stale key 1.0 until it reaches the top.
+  ASSERT_TRUE(s.reschedule(a, 3.0));
+  EXPECT_EQ(s.queue_size(), 3u);
+  EXPECT_EQ(s.timers_cancelled(), 1u);
+  // The stale top is re-keyed before it can win the horizon query.
+  EXPECT_EQ(s.next_event_time(), 2.0);
+  s.run();
+  // Equal time: the restart took a fresh seq after the 3.0 event.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(s.now(), 3.0);
+  EXPECT_EQ(s.events_processed(), 3u);
+}
+
+TEST(KernelOrder, EarlierRescheduleOfAStaleTimerSiftsUp) {
+  sim::Simulator s;
+  std::vector<int> order;
+  sim::TimerHandle a = s.timer_at(1.0, [&] { order.push_back(0); });
+  s.timer_at(1.5, [&] { order.push_back(1); });
+  ASSERT_TRUE(s.reschedule(a, 5.0));  // lazy
+  ASSERT_TRUE(s.reschedule(a, 0.5));  // earlier than the stale key
+  s.run_until(0.75);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_FALSE(s.reschedule(a, 2.0));  // fired: the handle went stale
+  EXPECT_EQ(a.slot, sim::TimerHandle::kInvalid);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(s.timers_cancelled(), 2u);
+}
+
+TEST(KernelOrder, CancelAfterLazyRescheduleRemovesTheTimer) {
+  sim::Simulator s;
+  bool fired = false;
+  sim::TimerHandle a = s.timer_at(1.0, [&] { fired = true; });
+  ASSERT_TRUE(s.reschedule(a, 2.0));
+  ASSERT_TRUE(s.cancel(a));
+  EXPECT_EQ(s.queue_size(), 0u);
+  EXPECT_TRUE(s.empty());
+  s.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(s.timers_cancelled(), 2u);
+}
+
+}  // namespace
+}  // namespace dtdctcp

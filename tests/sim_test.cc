@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "sim/network.h"
 #include "sim/port.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 #include "util/units.h"
 
 namespace dtdctcp {
@@ -405,6 +408,184 @@ TEST(Port, QueueHoldsPacketsWhileBusy) {
   EXPECT_EQ(port.disc().drops(), 2u);
   s.run();
   EXPECT_EQ(received, 3);
+}
+
+// Logs every transmission start (through the port's tracer, with the
+// rate fraction in force at that instant) and every arrival at the peer.
+class WireLog final : public sim::Node, public sim::TraceSink {
+ public:
+  struct Tx {
+    std::uint64_t uid;
+    SimTime at;
+    std::uint16_t size;
+    double frac;
+  };
+  WireLog(sim::Simulator& sim, const double* frac = nullptr)
+      : Node(1, "wire-log"), sim_(sim), frac_(frac) {}
+  void receive(sim::Packet pkt) override {
+    arrivals.emplace_back(pkt.uid, sim_.now());
+  }
+  void packet_event(const char* event, const sim::Packet& pkt,
+                    SimTime now) override {
+    if (std::string(event) == "tx") {
+      tx.push_back(Tx{pkt.uid, now, pkt.size_bytes,
+                      frac_ == nullptr ? 1.0 : *frac_});
+    }
+  }
+  /// Arrivals one kernel event per packet would produce: each packet at
+  /// tx start + (serialization + propagation), in (time, send) order.
+  std::vector<std::pair<std::uint64_t, SimTime>> expected(
+      const sim::Port& port) const {
+    std::vector<std::pair<std::uint64_t, SimTime>> out;
+    for (const Tx& t : tx) {
+      const DataRate rate = frac_ == nullptr ? port.rate_bps()
+                                             : port.rate_bps() * t.frac;
+      out.emplace_back(t.uid, t.at + (units::transmission_time(t.size, rate) +
+                                      port.prop_delay()));
+    }
+    std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.second < b.second;
+    });
+    return out;
+  }
+  std::vector<Tx> tx;
+  std::vector<std::pair<std::uint64_t, SimTime>> arrivals;
+
+ private:
+  sim::Simulator& sim_;
+  const double* frac_;
+};
+
+sim::Packet sized(std::uint64_t uid, std::uint16_t bytes) {
+  sim::Packet pkt;
+  pkt.uid = uid;
+  pkt.size_bytes = bytes;
+  return pkt;
+}
+
+TEST(PortWire, MixedSizesArriveInOrderAtExactTimes) {
+  sim::Simulator s;
+  WireLog log(s);
+  sim::Port port(s, units::gbps(10), 25e-6,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&log);
+  port.set_trace(&log);
+  std::uint64_t uid = 0;
+  // Back-to-back bursts of 40 B ACK-sized and 1500 B data packets, the
+  // second burst sent while the first is still propagating.
+  for (int i = 0; i < 30; ++i) port.send(sized(++uid, i % 3 == 0 ? 1500 : 40));
+  s.at(4e-6, [&] {
+    for (int i = 0; i < 30; ++i) port.send(sized(++uid, i % 2 ? 40 : 1500));
+  });
+  s.run_until(30e-6);
+  // Many packets in flight, yet the wire holds one kernel entry.
+  EXPECT_GT(port.packets_on_wire(), 10u);
+  EXPECT_LE(s.queue_size(), 2u);
+  s.run();
+  ASSERT_EQ(log.arrivals.size(), 60u);
+  EXPECT_EQ(log.arrivals, log.expected(port));
+  for (std::size_t i = 0; i < log.arrivals.size(); ++i) {
+    EXPECT_EQ(log.arrivals[i].first, i + 1) << "FIFO order";
+  }
+  EXPECT_EQ(port.packets_on_wire(), 0u);
+  EXPECT_EQ(s.past_schedule_clamps(), 0u);
+  // One arrival and one transmitter release per packet, plus the burst.
+  EXPECT_EQ(s.events_processed(), 2u * 60u + 1u);
+}
+
+TEST(PortWire, ZeroLengthPacketsKeepExactOrder) {
+  // A zero-byte packet serializes in no time, so rounding can put its
+  // arrival an ulp before its predecessor's. The grid below contains
+  // such inversions; every packet must still arrive at its own exact
+  // time, in (time, seq) order, without a past-time clamp.
+  int inversions = 0;
+  for (int k = 1; k <= 200; ++k) {
+    sim::Simulator s;
+    WireLog log(s);
+    sim::Port port(s, units::gbps(10), 1e-6 * k / 7.0,
+                   std::make_unique<queue::DropTailQueue>(0, 0));
+    port.attach_peer(&log);
+    port.set_trace(&log);
+    s.at(0.1 + 1e-3 * k / 3.0, [&] {
+      port.send(sized(1, 1));
+      port.send(sized(2, 0));
+      port.send(sized(3, 0));
+    });
+    s.run();
+    const auto want = log.expected(port);
+    ASSERT_EQ(log.arrivals, want) << "k=" << k;
+    EXPECT_EQ(s.past_schedule_clamps(), 0u);
+    if (want.front().first != 1) ++inversions;
+  }
+  EXPECT_GT(inversions, 0) << "the grid no longer exercises an inversion";
+}
+
+TEST(PortWire, LinkDownStillDeliversPacketsOnTheWire) {
+  sim::Simulator s;
+  WireLog log(s);
+  // 1000 B at 8 Mbps = 1 ms serialization; 10 ms propagation.
+  sim::Port port(s, units::mbps(8), 0.010,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&log);
+  port.set_trace(&log);
+  for (std::uint64_t i = 1; i <= 10; ++i) port.send(sized(i, 1000));
+  s.run_until(0.0035);
+  // Packets 1-4 have started serializing; 5-10 wait in the queue.
+  EXPECT_EQ(port.packets_on_wire(), 4u);
+  EXPECT_EQ(port.drop_queued(s.now()), 6u);
+  EXPECT_EQ(port.link_down_drops(), 6u);
+  s.run();
+  ASSERT_EQ(log.arrivals.size(), 4u);
+  EXPECT_EQ(log.arrivals, log.expected(port));
+  EXPECT_NEAR(log.arrivals.back().second, 0.004 + 0.010, 1e-12);
+}
+
+TEST(PortWire, RateFractionChangeMidBurstKeepsOrder) {
+  sim::Simulator s;
+  double frac = 1.0;
+  WireLog log(s, &frac);
+  sim::Port port(s, units::gbps(1), 5e-6,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&log);
+  port.set_trace(&log);
+  port.set_available_rate_fraction(&frac);
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    port.send(sized(i, i % 4 == 0 ? 40 : 1500));
+  }
+  // Slow the link mid-burst, then give it back in full: the first fast
+  // packet after the slow stretch must not overtake its predecessor.
+  s.at(60e-6, [&] { frac = 0.1; });
+  s.at(200e-6, [&] { frac = 1.0; });
+  s.run();
+  ASSERT_EQ(log.arrivals.size(), 40u);
+  EXPECT_EQ(log.arrivals, log.expected(port));
+  for (std::size_t i = 0; i < log.arrivals.size(); ++i) {
+    EXPECT_EQ(log.arrivals[i].first, i + 1);
+  }
+  EXPECT_EQ(s.past_schedule_clamps(), 0u);
+}
+
+TEST(PortWire, RewiringWithPacketsOnTheWireThrows) {
+  sim::Simulator s;
+  sim::Simulator other;
+  WireLog log(s);
+  WireLog log2(s);
+  sim::Port port(s, units::mbps(8), 0.010,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&log);
+  port.send(sized(1, 1000));
+  ASSERT_EQ(port.packets_on_wire(), 1u);
+  EXPECT_THROW(port.attach_peer(&log2), std::logic_error);
+  EXPECT_THROW(port.bind_simulator(other), std::logic_error);
+  EXPECT_THROW(port.set_remote(nullptr), std::logic_error);
+  EXPECT_EQ(port.peer(), &log);
+  EXPECT_EQ(&port.simulator(), &s);
+  s.run();
+  ASSERT_EQ(log.arrivals.size(), 1u);
+  // Once the wire is empty, rewiring is legal again.
+  EXPECT_NO_THROW(port.attach_peer(&log2));
+  EXPECT_NO_THROW(port.bind_simulator(other));
+  EXPECT_NO_THROW(port.set_remote(nullptr));
 }
 
 // --- network / routing ------------------------------------------------
