@@ -24,7 +24,13 @@ void Port::attach_peer(Node* peer) {
 
 void Port::bind_simulator(Simulator& sim) {
   require_idle_wire("bind_simulator");
+  if (busy()) {
+    throw std::logic_error(
+        "Port::bind_simulator while a transmission is unfinished");
+  }
+  settle_release();
   sim_ = &sim;
+  deferral_id_ = Simulator::kNoDeferral;  // the slot belongs to the old one
 }
 
 void Port::set_remote(parsim::Mailbox* mb) {
@@ -32,14 +38,28 @@ void Port::set_remote(parsim::Mailbox* mb) {
   remote_ = mb;
 }
 
+// A deferred release that has passed runs now, at its own time: free the
+// transmitter and replay the empty dequeue it would have made.
+void Port::settle_release() {
+  if (!release_deferred_ || !sim_->passed(release_)) return;
+  release_deferred_ = false;
+  busy_ = false;
+  Packet none;
+  const bool got = disc_->dequeue(none, release_.time);
+  assert(!got && "a packet queued behind a deferred release");
+  (void)got;
+}
+
 void Port::send(Packet pkt) {
   assert(peer_ != nullptr && "port not wired to a peer");
+  settle_release();
   if (!busy_ && disc_->packets() == 0) {
     disc_->on_bypass(pkt, sim_->now());
     begin_transmission(std::move(pkt));
     return;
   }
-  if (disc_->enqueue(pkt, sim_->now()) == EnqueueResult::kEnqueued && !busy_) {
+  if (disc_->enqueue(pkt, sim_->now()) != EnqueueResult::kEnqueued) return;
+  if (!busy_) {
     // Transmitter idle but queue was non-empty (can happen transiently
     // when a drop callback re-enters send); drain in FIFO order.
     Packet head;
@@ -47,10 +67,16 @@ void Port::send(Packet pkt) {
     assert(got);
     (void)got;
     begin_transmission(std::move(head));
+  } else if (release_deferred_) {
+    // The release now has a packet to hand over: it becomes the event
+    // it would always have been, at its reserved key.
+    release_deferred_ = false;
+    sim_->release_at(release_, this);
   }
 }
 
 std::size_t Port::drop_queued(SimTime now) {
+  settle_release();
   std::size_t n = 0;
   Packet pkt;
   while (disc_->dequeue(pkt, now)) {
@@ -75,8 +101,8 @@ void Port::begin_transmission(Packet pkt) {
   bytes_sent_ += pkt.size_bytes;
   // The packet is parked in the kernel's arena and its key joins the
   // wire FIFO, so the pipe can hold multiple packets; transmitter
-  // release is a separate event. Both go through the kernel's typed
-  // fast path: no type-erased closure, no allocation.
+  // release is a separate key. Both go through the kernel's typed fast
+  // path: no type-erased closure, no allocation.
   //
   // A cross-shard link hands the arrival to the peer shard's mailbox
   // instead: the arrival timestamp is computed here (same arithmetic as
@@ -100,7 +126,13 @@ void Port::begin_transmission(Packet pkt) {
     DTDCTCP_CHECK_HOOK(packet_exported(this, pkt));
     remote_->push(sim_->now() + tx + prop_delay_, peer_, std::move(pkt));
   }
-  sim_->tx_complete_after(tx, this);
+  release_ = sim_->reserve_key(sim_->now() + tx);
+  if (disc_->packets() > 0) {
+    sim_->release_at(release_, this);
+  } else {
+    release_deferred_ = true;
+    sim_->defer(deferral_id_, release_);
+  }
 }
 
 void Port::on_wire_arrival() {

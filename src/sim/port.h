@@ -16,6 +16,21 @@
 // along a link never decrease and FIFO order is (time, seq) order: the
 // packets arrive exactly when and in the order that one kernel event
 // per packet would deliver them.
+//
+// Releasing the transmitter when a transmission ends is an event only
+// when a packet is queued behind it. The port reserves the release's
+// key (now + tx, next seq) where the event would be scheduled, inserts
+// it at once if the queue holds packets, and otherwise defers it: the
+// kernel keeps the key for its horizon (next_event_time) but queues
+// nothing. A packet queued behind a deferred release inserts it with its
+// reserved key. Otherwise the port settles the release on its next
+// touch (send, drop_queued) once Simulator::passed says it would have
+// fired: it frees the transmitter and replays the empty dequeue at the
+// release time, because an empty dequeue is not always a no-op (CoDel
+// resets its above-target clock, WRR refills the current class's
+// credit). Disc calls only come from the port, so the discipline sees
+// the same calls, with the same times, in the same order as if every
+// release were an event.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +72,8 @@ class Port {
   /// Rebinds the port to another event queue. Used by the parsim
   /// partitioner, which builds the topology against the network's serial
   /// simulator and then moves each port onto its owning shard's
-  /// simulator. Only legal before any traffic has run.
+  /// simulator. Only legal before any traffic has run (throws while
+  /// packets are on the wire or a transmission is unfinished).
   void bind_simulator(Simulator& sim);
   Simulator& simulator() { return *sim_; }
 
@@ -100,7 +116,10 @@ class Port {
   const QueueDisc& disc() const { return *disc_; }
   DataRate rate_bps() const { return rate_bps_; }
   SimTime prop_delay() const { return prop_delay_; }
-  bool busy() const { return busy_; }
+  /// Whether a transmission is in progress (its release has not fired).
+  bool busy() const {
+    return busy_ && !(release_deferred_ && sim_->passed(release_));
+  }
   /// Packets serialized onto the local wire that have not yet arrived.
   std::size_t packets_on_wire() const { return wire_.size(); }
 
@@ -128,6 +147,7 @@ class Port {
   };
 
   void begin_transmission(Packet pkt);
+  void settle_release();
   void on_transmit_complete();
   void on_wire_arrival();
   void require_idle_wire(const char* what) const;
@@ -141,7 +161,10 @@ class Port {
   TraceSink* trace_ = nullptr;
   const double* avail_frac_ = nullptr;
   util::RingBuffer<InFlight> wire_;
-  bool busy_ = false;
+  bool busy_ = false;            ///< transmitter held until the release
+  bool release_deferred_ = false;  ///< release_ reserved, not queued
+  Simulator::Key release_{0.0, 0};
+  std::uint32_t deferral_id_ = Simulator::kNoDeferral;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t link_down_drops_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #include "sim/node.h"
@@ -221,6 +222,11 @@ void Simulator::wire_arrival_at(SimTime t, std::uint32_t seq, Port* port) {
   sift_up_plain(static_cast<std::uint32_t>(heap_.size() - 1));
 }
 
+void Simulator::release_at(Key k, Port* port) {
+  heap_.push_back(port_entry(k.time, k.seq, &EventClosure::tx_trampoline, port));
+  sift_up_plain(static_cast<std::uint32_t>(heap_.size() - 1));
+}
+
 void Simulator::sift_up_timer(std::uint32_t pos) {
   heap_sift_up(timers_, pos, earlier<TimerEntry, TimerEntry>,
                [this](const TimerEntry& e, std::uint32_t p) {
@@ -309,11 +315,12 @@ bool Simulator::reschedule(TimerHandle& h, SimTime t) {
 void Simulator::fire(HeapEntry e) {
   if (e.slot == kInlineSlot) {
     now_ = e.time;
+    cur_seq_ = e.seq;
     ++processed_;
     e.fn(e.payload);
     return;
   }
-  fire_slot(e.time, e.slot);
+  fire_slot(e.time, e.seq, e.slot);
 }
 
 // For arena events the generation is bumped before the handler runs (a
@@ -321,8 +328,10 @@ void Simulator::fire(HeapEntry e) {
 // be a no-op), but the slot only joins the free list afterwards, so
 // events the handler schedules cannot reuse the storage of the payload
 // that is still executing.
-void Simulator::fire_slot(SimTime time, std::uint32_t slot) {
+void Simulator::fire_slot(SimTime time, std::uint32_t seq,
+                          std::uint32_t slot) {
   now_ = time;
+  cur_seq_ = seq;
   ++processed_;
   run_slot(slot);
 }
@@ -390,40 +399,95 @@ void Simulator::step(Source src) {
     case Source::kTimer: {
       const TimerEntry top = timers_.front();
       remove_timer(0);
-      fire_slot(top.time, top.slot);
+      fire_slot(top.time, top.seq, top.slot);
       return;
     }
   }
 }
 
+// Leaves a run loop: fixes what passed() reports until the next loop
+// (keys before `fired`, reserved before now) and retires the deferred
+// keys that passed.
+void Simulator::end_loop(Key fired) {
+  in_loop_ = false;
+  if (stopped_) fired = Key{now_, cur_seq_};
+  fired_ = fired;
+  seq_mark_ = next_seq_;
+  retire_deferred();
+}
+
+// Forgets the deferred keys that have passed and returns the earliest
+// one that has not (+infinity if none). Each passed key stands for an
+// event that would have run, so the clock moves up to the latest of
+// them: now() between loops is what it would be had every key been
+// scheduled.
+SimTime Simulator::retire_deferred() {
+  SimTime earliest = std::numeric_limits<SimTime>::infinity();
+  for (std::size_t i = 0; i < watched_.size();) {
+    Deferred& d = deferred_[watched_[i]];
+    if (passed(d.key)) {
+      if (now_ < d.key.time) now_ = d.key.time;
+      d.watched = false;
+      watched_[i] = watched_.back();
+      watched_.pop_back();
+      continue;
+    }
+    earliest = std::min(earliest, d.key.time);
+    ++i;
+  }
+  return earliest;
+}
+
+bool Simulator::empty() const {
+  if (!heap_.empty() || !timers_.empty() || !pending_.empty() ||
+      cursor_ != sorted_.size()) {
+    return false;
+  }
+  for (const std::uint32_t id : watched_) {
+    if (!passed(deferred_[id].key)) return false;
+  }
+  return true;
+}
+
 void Simulator::run() {
   stopped_ = false;
+  in_loop_ = true;
   while (!stopped_) {
     const Next next = next_source();
     if (next.src == Source::kNone) break;
     step(next.src);
   }
+  end_loop(Key{std::numeric_limits<SimTime>::infinity(), next_seq_});
 }
 
-SimTime Simulator::next_event_time() { return next_source().time; }
+SimTime Simulator::next_event_time() {
+  const SimTime queued = next_source().time;
+  return std::min(queued, retire_deferred());
+}
 
 void Simulator::run_window(SimTime end) {
   stopped_ = false;
+  in_loop_ = true;
   while (!stopped_) {
     const Next next = next_source();
     if (next.src == Source::kNone || next.time >= end) break;
     step(next.src);
   }
+  // time < end is time <= the double just below end.
+  end_loop(Key{std::nextafter(end, -std::numeric_limits<SimTime>::infinity()),
+               next_seq_});
 }
 
 void Simulator::run_until(SimTime t) {
   stopped_ = false;
+  in_loop_ = true;
   while (!stopped_) {
     const Next next = next_source();
     if (next.src == Source::kNone || next.time > t) break;
     step(next.src);
   }
   if (!stopped_ && now_ < t) now_ = t;
+  end_loop(Key{t, next_seq_});
 }
 
 }  // namespace dtdctcp::sim

@@ -5,7 +5,7 @@
 // pipelines deterministic. Because that order is a *total* order, the
 // kernel is free to organise its queue however it likes — every valid
 // arrangement pops in exactly the same sequence. It exploits that
-// freedom in four ways:
+// freedom in five ways:
 //
 //   * Plain (non-cancellable) events are appended to an unsorted
 //     pending buffer in O(1) and bulk-merged into a 4-ary heap of
@@ -19,6 +19,14 @@
 //     own FIFO (see port.h), the packets themselves parked in the slot
 //     arena, and the kernel holds one entry for the FIFO's head, keyed
 //     by the (time, seq) reserved when that packet was sent.
+//   * A key can be reserved without scheduling anything (reserve_key).
+//     A Port reserves the key of each transmitter release and inserts
+//     it only if a packet queues behind the transmission; a release
+//     that would find an empty queue is never scheduled, and the port
+//     settles it when next touched, asking passed() whether it would
+//     already have fired. Such keys still bound next_event_time(), so
+//     parsim windows are unchanged. Every event that does run keeps the
+//     key it always had; only events_processed() falls.
 //   * Payloads live out-of-line in a chunked, recycled slot arena with
 //     stable addresses, or inside the queue entry when they are one
 //     pointer, so the steady-state hot path performs no heap
@@ -29,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -234,7 +243,11 @@ class Simulator {
         processed_(other.processed_),
         cancelled_(other.cancelled_),
         past_clamps_(other.past_clamps_),
+        cur_seq_(other.cur_seq_),
+        seq_mark_(other.seq_mark_),
+        fired_(other.fired_),
         stopped_(other.stopped_),
+        in_loop_(other.in_loop_),
         heap_(std::move(other.heap_)),
         timers_(std::move(other.timers_)),
         pending_(std::move(other.pending_)),
@@ -243,7 +256,9 @@ class Simulator {
         scratch_(std::move(other.scratch_)),
         chunks_(std::move(other.chunks_)),
         slot_count_(other.slot_count_),
-        free_head_(other.free_head_) {
+        free_head_(other.free_head_),
+        deferred_(std::move(other.deferred_)),
+        watched_(std::move(other.watched_)) {
     // The source must not destroy the slots it no longer owns.
     other.slot_count_ = 0;
     other.free_head_ = TimerHandle::kInvalid;
@@ -336,17 +351,68 @@ class Simulator {
   /// wire-arrival event, which has already set the clock.
   void deliver_parked(std::uint32_t slot) { run_slot(slot); }
 
-  /// Typed fast path: releases `port`'s transmitter after `dt`. The
-  /// payload is one pointer, so it rides in the queue entry itself.
-  void tx_complete_after(SimTime dt, Port* port) {
-    pending_.push_back(port_entry(clamp_time(now_ + dt), next_seq_++,
-                                  &EventClosure::tx_trampoline, port));
-  }
-
   /// Takes the next insertion sequence number for an event whose queue
   /// entry is created later: a Port reserves one per packet it puts on
   /// its wire, when the packet starts serializing.
   std::uint32_t reserve_seq() { return next_seq_++; }
+
+  /// An event key: fire order is (time, seq), seq compared with
+  /// wraparound.
+  struct Key {
+    SimTime time;
+    std::uint32_t seq;
+  };
+
+  /// Reserves the key that scheduling an event at `t` would take now —
+  /// `t` clamped and counted as by at(), the next insertion sequence
+  /// number — without scheduling anything. The owner either inserts it
+  /// later (release_at) or registers it with defer() and settles it
+  /// itself once passed() says it would have fired.
+  Key reserve_key(SimTime t) { return Key{clamp_time(t), next_seq_++}; }
+
+  /// Typed fast path: releases `port`'s transmitter at a reserved key.
+  /// The payload is one pointer, so it rides in the queue entry itself;
+  /// the seq may be older than those in the pending buffer, so the
+  /// entry goes straight into the heap.
+  void release_at(Key k, Port* port);
+
+  /// Registers a reserved key that has no queue entry, so that
+  /// next_event_time() and empty() still account for it. `id` names the
+  /// registrant's slot (allocated on first use from an id holding
+  /// kNoDeferral); a slot holds one key, and a new key may replace it
+  /// only once passed() is true of the old one or the old one has been
+  /// inserted with release_at. Slots are bounded by the number of
+  /// registrants, and the kernel never dereferences one.
+  void defer(std::uint32_t& id, Key k) {
+    if (id == kNoDeferral) {
+      id = static_cast<std::uint32_t>(deferred_.size());
+      deferred_.push_back(Deferred{});
+    }
+    Deferred& d = deferred_[id];
+    d.key = k;
+    if (!d.watched) {
+      d.watched = true;
+      watched_.push_back(id);
+    }
+  }
+  static constexpr std::uint32_t kNoDeferral = 0xffffffffu;
+
+  /// Whether an event at reserved key `k` would already have fired:
+  ///  * inside a handler, iff `k` orders before the running event;
+  ///  * after run_until(t) returned without stop(), iff k.time <= t;
+  ///  * after run_window(end), iff k.time < end;
+  ///  * after run() drained the queue, always;
+  ///  * after stop(), iff `k` orders before the stopping event.
+  /// A key reserved after the last run loop returned never counts as
+  /// passed (and none does before the first loop).
+  bool passed(Key k) const {
+    if (in_loop_) return earlier(k, Key{now_, cur_seq_});
+    // A key behind the clock predates the loop's return; one at or
+    // after it is told apart by its seq.
+    return earlier(k, fired_) &&
+           (k.time < now_ ||
+            static_cast<std::int32_t>(k.seq - seq_mark_) < 0);
+  }
 
   /// Typed fast path: the arrival of the packet at the head of `port`'s
   /// wire, keyed by the (time, seq) reserved when it was sent. The seq
@@ -361,10 +427,11 @@ class Simulator {
   void run_until(SimTime t);
 
   /// Absolute time of the earliest pending event, or +infinity when the
-  /// queue is empty. This is the horizon query of the conservative
-  /// parallel executor (parsim): the global safe window is
-  /// [min over shards of next_event_time(), +lookahead). Flushes the
-  /// unsorted pending buffer, so it is not const.
+  /// queue is empty; deferred keys (see defer) count as pending until
+  /// passed. This is the horizon query of the conservative parallel
+  /// executor (parsim): the global safe window is [min over shards of
+  /// next_event_time(), +lookahead). Flushes the unsorted pending
+  /// buffer and forgets passed deferred keys, so it is not const.
   SimTime next_event_time();
 
   /// Runs events with time strictly < `end` (the half-open safe window
@@ -378,14 +445,16 @@ class Simulator {
   /// Stops the run loop after the current event handler returns.
   void stop() { stopped_ = true; }
 
+  /// Events that ran. A deferred key that passes without being inserted
+  /// is not an event and does not count.
   std::uint64_t events_processed() const { return processed_; }
-  bool empty() const {
-    return heap_.empty() && timers_.empty() && pending_.empty() &&
-           cursor_ == sorted_.size();
-  }
+
+  /// True when no event is pending, deferred keys included.
+  bool empty() const;
 
   /// Kernel entries: plain events, live timers, and one entry per port
-  /// wire that holds packets (the packets themselves are not counted).
+  /// wire that holds packets (the packets themselves and deferred keys
+  /// are not counted).
   /// Cancelled timers are removed eagerly and a rescheduled timer keeps
   /// its entry, so a flow that restarts its RTO holds exactly one.
   std::size_t queue_size() const {
@@ -478,7 +547,7 @@ class Simulator {
   }
 
   SimTime clamp_time(SimTime t) {
-    if (t < now_) {
+    if (!(t >= now_)) {  // also catches NaN, which compares false
       // Scheduling in the past is a bug in the caller; rather than let
       // the clock run backwards (or abort a release-mode run), pin the
       // event to now and count the violation.
@@ -544,8 +613,10 @@ class Simulator {
   }
   bool sorted_drained() const { return cursor_ == sorted_.size(); }
   Next next_source();
+  void end_loop(Key fired);
+  SimTime retire_deferred();
   void fire(HeapEntry e);
-  void fire_slot(SimTime time, std::uint32_t slot);
+  void fire_slot(SimTime time, std::uint32_t seq, std::uint32_t slot);
   void run_slot(std::uint32_t slot);
   void step(Source src);
 
@@ -554,7 +625,14 @@ class Simulator {
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t past_clamps_ = 0;
+  std::uint32_t cur_seq_ = 0;  ///< seq of the running (or stopping) event
+  // passed() outside a run loop: keys before `fired_` reserved before
+  // the last loop returned (`seq_mark_` is the next seq at that point).
+  // No key passes before the first loop.
+  std::uint32_t seq_mark_ = 0;
+  Key fired_{-std::numeric_limits<SimTime>::infinity(), 0};
   bool stopped_ = false;
+  bool in_loop_ = false;
   std::vector<HeapEntry> heap_;     ///< plain events
   std::vector<TimerEntry> timers_;  ///< cancellable timers
   std::vector<HeapEntry> pending_;
@@ -574,6 +652,14 @@ class Simulator {
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = TimerHandle::kInvalid;
+  // Deferred keys, one slot per registrant; `watched_` lists the slots
+  // whose key may not have passed yet (each at most once).
+  struct Deferred {
+    Key key{0.0, 0};
+    bool watched = false;
+  };
+  std::vector<Deferred> deferred_;
+  std::vector<std::uint32_t> watched_;
 };
 
 }  // namespace dtdctcp::sim

@@ -8,6 +8,13 @@
 // through run_until, run_window, run, stop() and next_event_time(). The
 // script's own random draws happen inside handlers, so any divergence
 // in fire order shows up as a mismatch at the first differing event.
+//
+// The script also reserves keys that are never scheduled (reserve_key
+// + defer, as a Port does for a transmitter release that finds an
+// empty queue). The model holds them as no-op events: they order, bound
+// next_event_time() and move the clock like any event, but run nothing
+// and are not counted. At every step the kernel's passed() must agree
+// with whether the model has fired them.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,6 +23,7 @@
 #include <functional>
 #include <limits>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,6 +75,15 @@ class ReferenceSim {
     return true;
   }
 
+  // A reserved key: an event that runs nothing and is not counted.
+  Handle reserve(SimTime t) {
+    const std::size_t id = add(t, [] {});
+    events_[id].noop = true;
+    ++live_noops_;
+    return Handle{id};
+  }
+  bool passed(const Handle& h) const { return !events_[h.id].live; }
+
   void stop() { stopped_ = true; }
 
   void run() {
@@ -98,7 +115,7 @@ class ReferenceSim {
     return events_[live_[earliest()]].time;
   }
 
-  std::size_t queue_size() const { return live_.size(); }
+  std::size_t queue_size() const { return live_.size() - live_noops_; }
   std::uint64_t timers_cancelled() const { return cancelled_; }
   std::uint64_t past_schedule_clamps() const { return clamps_; }
   std::uint64_t events_processed() const { return processed_; }
@@ -109,6 +126,7 @@ class ReferenceSim {
     std::uint64_t seq;
     std::function<void()> fn;
     bool live;
+    bool noop = false;
   };
 
   SimTime clamp(SimTime t) {
@@ -153,6 +171,10 @@ class ReferenceSim {
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(live_index));
     events_[id].live = false;
     now_ = events_[id].time;
+    if (events_[id].noop) {
+      --live_noops_;
+      return;
+    }
     ++processed_;
     std::function<void()> fn = std::move(events_[id].fn);
     fn();
@@ -163,15 +185,17 @@ class ReferenceSim {
   std::uint64_t cancelled_ = 0;
   std::uint64_t clamps_ = 0;
   std::uint64_t processed_ = 0;
+  std::size_t live_noops_ = 0;
   bool stopped_ = false;
   std::deque<Event> events_;
   std::vector<std::size_t> live_;
 };
 
 // One observation: what happened (kind), which event or result (id), the
-// clock or probed time, and the kernel counters at that moment.
+// clock or probed time, the kernel counters at that moment, and which
+// reserved keys have passed (one bit per channel).
 using Record = std::tuple<int, long, SimTime, std::size_t, std::uint64_t,
-                          std::uint64_t>;
+                          std::uint64_t, unsigned>;
 
 enum Kind : int {
   kFire,
@@ -181,6 +205,7 @@ enum Kind : int {
   kOwnReschedule,
   kNextEvent,
   kAfterRun,
+  kReserve,
   kEnd,
 };
 
@@ -195,8 +220,9 @@ class Script {
     // sorted-run path, plus a few timers.
     for (int i = 0; i < 40; ++i) schedule_plain();
     for (int i = 0; i < 10; ++i) new_timer();
-    for (int round = 0; round < 400 && sim_.queue_size() > 0; ++round) {
-      switch (pick(4)) {
+    for (int round = 0; round < 400 && (sim_.queue_size() > 0 || reserved());
+         ++round) {
+      switch (pick(5)) {
         case 0:
           sim_.run_until(sim_.now() + window());
           break;
@@ -209,8 +235,11 @@ class Script {
         case 2:
           sim_.run();  // until a handler calls stop() or the queue drains
           break;
-        default:
+        case 3:
           note(kNextEvent, 1, sim_.next_event_time());
+          break;
+        default:  // reserved after the last loop returned
+          reserve();
           break;
       }
       note(kAfterRun, round, sim_.now());
@@ -227,6 +256,16 @@ class Script {
     Handle h;
     SimTime due;
   };
+  static constexpr bool kKernel = std::is_same_v<Sim, sim::Simulator>;
+  // A reserved key's owner, like a port: it holds at most one key whose
+  // event has not passed.
+  struct Channel {
+    bool used = false;
+    std::uint32_t id = sim::Simulator::kNoDeferral;
+    sim::Simulator::Key key{0.0, 0};
+    ReferenceSim::Handle h;
+  };
+  static constexpr int kChannels = 4;
   // A one-pointer capture: the kernel stores it inside the queue entry.
   struct Rec {
     Script* owner;
@@ -252,7 +291,45 @@ class Script {
 
   void note(int kind, long id, SimTime t) {
     log_.emplace_back(kind, id, t, sim_.queue_size(), sim_.timers_cancelled(),
-                      sim_.past_schedule_clamps());
+                      sim_.past_schedule_clamps(), passed_bits());
+  }
+
+  bool passed(const Channel& c) const {
+    if constexpr (kKernel) {
+      return sim_.passed(c.key);
+    } else {
+      return sim_.passed(c.h);
+    }
+  }
+  unsigned passed_bits() const {
+    unsigned bits = 0;
+    for (int i = 0; i < kChannels; ++i) {
+      if (channels_[i].used && passed(channels_[i])) bits |= 1u << i;
+    }
+    return bits;
+  }
+
+  // Whether some reserved key has not passed yet.
+  bool reserved() const { return passed_bits() != used_bits_; }
+
+  // Reserves keys on channels whose previous key has passed. Outside
+  // the budget: once the events drain, the rounds go on with reserved
+  // keys alone, which is where they decide the horizon and the clock.
+  void reserve() {
+    for (int i = 0; i < kChannels; ++i) {
+      Channel& c = channels_[i];
+      if ((c.used && !passed(c)) || pick(2) == 0) continue;
+      const SimTime t = sim_.now() + delay();
+      if constexpr (kKernel) {
+        c.key = sim_.reserve_key(t);
+        sim_.defer(c.id, c.key);
+      } else {
+        c.h = sim_.reserve(t);
+      }
+      c.used = true;
+      used_bits_ |= 1u << i;
+      note(kReserve, i, t);
+    }
   }
 
   bool spend() {
@@ -301,7 +378,7 @@ class Script {
 
   void act() {
     for (int n = pick(4); n > 0 && budget_ > 0; --n) {
-      switch (pick(9)) {
+      switch (pick(10)) {
         case 0:
         case 1:
           schedule_plain();
@@ -328,6 +405,9 @@ class Script {
         }
         case 7:  // a burst through the kernel's batch merge paths
           for (int i = 0; i < 30; ++i) schedule_plain();
+          break;
+        case 8:
+          reserve();
           break;
         default:
           if (pick(4) == 0) sim_.stop();
@@ -361,6 +441,8 @@ class Script {
   int budget_ = 0;
   long next_id_ = 0;
   std::vector<Timer> timers_;
+  Channel channels_[kChannels];
+  unsigned used_bits_ = 0;
   std::deque<Rec> recs_;
   std::vector<Record> log_;
 };
@@ -424,6 +506,54 @@ TEST(KernelOrder, CancelAfterLazyRescheduleRemovesTheTimer) {
   s.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(s.timers_cancelled(), 2u);
+}
+
+TEST(KernelOrder, PassedFollowsTheLastRunLoop) {
+  sim::Simulator s;
+  std::uint32_t id[4] = {sim::Simulator::kNoDeferral, sim::Simulator::kNoDeferral,
+                         sim::Simulator::kNoDeferral, sim::Simulator::kNoDeferral};
+  const auto reserve = [&](int i, SimTime t) {
+    const sim::Simulator::Key k = s.reserve_key(t);
+    s.defer(id[i], k);
+    return k;
+  };
+  const sim::Simulator::Key a = reserve(0, 1.0);
+  EXPECT_FALSE(s.passed(a));  // no loop has run
+  EXPECT_EQ(s.next_event_time(), 1.0);
+  s.run_until(1.0);  // time <= 1.0
+  EXPECT_TRUE(s.passed(a));
+  const sim::Simulator::Key b = reserve(0, 1.0);
+  EXPECT_FALSE(s.passed(b));  // reserved after the loop returned
+  s.run_window(2.0);          // time < 2.0
+  EXPECT_TRUE(s.passed(b));
+  EXPECT_EQ(s.now(), 1.0);
+  const sim::Simulator::Key c = reserve(0, 2.0);
+  s.run_window(2.0);
+  EXPECT_FALSE(s.passed(c));
+  EXPECT_EQ(s.next_event_time(), 2.0);
+  // A handler at 3.0 stops the loop: keys ordered before it have
+  // passed, keys after it (same time, later seq) have not.
+  const sim::Simulator::Key d = reserve(1, 3.0);
+  s.at(3.0, [&] {
+    EXPECT_TRUE(s.passed(d));
+    reserve(2, 3.0);
+    s.stop();
+  });
+  const sim::Simulator::Key e = reserve(3, 3.0);
+  s.run_until(10.0);
+  EXPECT_EQ(s.now(), 3.0);
+  EXPECT_TRUE(s.passed(c));
+  EXPECT_TRUE(s.passed(d));
+  EXPECT_FALSE(s.passed(e));
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.queue_size(), 0u);
+  EXPECT_EQ(s.next_event_time(), 3.0);
+  s.run();  // drained: every key passed, the clock at the latest
+  EXPECT_TRUE(s.passed(e));
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.now(), 3.0);
+  EXPECT_EQ(s.events_processed(), 1u);
+  EXPECT_EQ(s.next_event_time(), std::numeric_limits<SimTime>::infinity());
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "parsim/mailbox.h"
 #include "queue/drop_tail.h"
 #include "queue/factory.h"
 #include "sim/network.h"
@@ -200,6 +203,48 @@ TEST(Simulator, PastScheduleClampsToNowAndCounts) {
   EXPECT_DOUBLE_EQ(fired_at, 5.0);  // ran at now(), clock stayed monotonic
   EXPECT_DOUBLE_EQ(s.now(), 5.0);
   EXPECT_EQ(s.past_schedule_clamps(), 1u);
+}
+
+// NaN compares false against everything, so a `t < now` guard lets it
+// through: the event lands wherever the heap's comparisons leave it,
+// sets the clock to NaN, and goes uncounted. It must be clamped to
+// now() and counted like any other past time.
+class NaNSchedule : public ::testing::Test {
+ protected:
+  // At 1.0, schedules events at 1.1..1.5 and then `nan_schedule`; each
+  // records the clock it runs at.
+  std::vector<SimTime> run(const std::function<void()>& nan_schedule) {
+    s.at(1.0, [&] {
+      for (const SimTime t : {1.1, 1.2, 1.3, 1.4, 1.5}) s.at(t, record);
+      nan_schedule();
+    });
+    s.run();
+    return fired;
+  }
+  sim::Simulator s;
+  std::vector<SimTime> fired;
+  std::function<void()> record = [this] { fired.push_back(s.now()); };
+  static constexpr SimTime kNaN = std::numeric_limits<SimTime>::quiet_NaN();
+  const std::vector<SimTime> clamped = {1.0, 1.1, 1.2, 1.3, 1.4, 1.5};
+};
+
+TEST_F(NaNSchedule, AtIsClampedToNowAndCounted) {
+  EXPECT_EQ(run([&] { s.at(kNaN, record); }), clamped);
+  EXPECT_EQ(s.past_schedule_clamps(), 1u);
+  EXPECT_EQ(s.now(), 1.5);
+}
+
+TEST_F(NaNSchedule, TimerAtIsClampedToNowAndCounted) {
+  EXPECT_EQ(run([&] { s.timer_at(kNaN, record); }), clamped);
+  EXPECT_EQ(s.past_schedule_clamps(), 1u);
+  EXPECT_EQ(s.now(), 1.5);
+}
+
+TEST_F(NaNSchedule, RescheduleIsClampedToNowAndCounted) {
+  sim::TimerHandle h = s.timer_at(2.0, record);
+  EXPECT_EQ(run([&] { ASSERT_TRUE(s.reschedule(h, kNaN)); }), clamped);
+  EXPECT_EQ(s.past_schedule_clamps(), 1u);
+  EXPECT_EQ(s.now(), 1.5);
 }
 
 TEST(Simulator, OnTimeSchedulesAreNotCountedAsClamps) {
@@ -489,8 +534,12 @@ TEST(PortWire, MixedSizesArriveInOrderAtExactTimes) {
   }
   EXPECT_EQ(port.packets_on_wire(), 0u);
   EXPECT_EQ(s.past_schedule_clamps(), 0u);
-  // One arrival and one transmitter release per packet, plus the burst.
-  EXPECT_EQ(s.events_processed(), 2u * 60u + 1u);
+  // The second burst joins the first's backlog (the first takes 12.64 us
+  // to serialize), so all 60 packets form one busy period. Events: 60
+  // arrivals, plus the burst, plus one transmitter release per packet
+  // that has another queued behind it — all but the last, whose release
+  // finds an empty queue and is never scheduled.
+  EXPECT_EQ(s.events_processed(), 60u + 1u + 59u);
 }
 
 TEST(PortWire, ZeroLengthPacketsKeepExactOrder) {
@@ -586,6 +635,27 @@ TEST(PortWire, RewiringWithPacketsOnTheWireThrows) {
   EXPECT_NO_THROW(port.attach_peer(&log2));
   EXPECT_NO_THROW(port.bind_simulator(other));
   EXPECT_NO_THROW(port.set_remote(nullptr));
+}
+
+TEST(PortWire, RebindingDuringATransmissionThrows) {
+  // A cross-shard port keeps no wire, but its transmitter stays busy
+  // until the release, whose key belongs to the current simulator.
+  sim::Simulator s;
+  sim::Simulator other;
+  WireLog log(s);
+  parsim::Mailbox mb;
+  sim::Port port(s, units::mbps(8), 0.010,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&log);
+  port.set_remote(&mb);
+  port.send(sized(1, 1000));  // 1 ms serialization
+  ASSERT_EQ(port.packets_on_wire(), 0u);
+  EXPECT_TRUE(port.busy());
+  EXPECT_THROW(port.bind_simulator(other), std::logic_error);
+  s.run();
+  EXPECT_EQ(s.now(), 0.001);
+  EXPECT_FALSE(port.busy());
+  EXPECT_NO_THROW(port.bind_simulator(other));
 }
 
 // --- network / routing ------------------------------------------------
