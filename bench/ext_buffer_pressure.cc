@@ -63,7 +63,9 @@ Result run_kind(int kind) {  // 0 droptail, 1 dctcp, 2 dt-dctcp
 
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < 8; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
     hosts.push_back(&h);
   }

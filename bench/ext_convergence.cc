@@ -30,7 +30,9 @@ void run_protocol(bool dt) {
   constexpr int kFlows = 5;
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < kFlows; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
     hosts.push_back(&h);
   }

@@ -39,7 +39,9 @@ GroupResult run_mix(bool deadline_aware, bool dt_switch, int flows,
   net.attach_host(sink, sw, units::gbps(1), 25e-6, q, mark);
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < flows; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
     hosts.push_back(&h);
   }

@@ -46,7 +46,9 @@ Result run_stack(int kind) {  // 0 cubic+droptail, 1 dctcp, 2 dt-dctcp
                                            q, bneck);
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < 3; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
     hosts.push_back(&h);
   }

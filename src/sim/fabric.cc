@@ -97,10 +97,14 @@ FatTree build_fat_tree(const FatTreeConfig& cfg,
   const auto host_nic = queue::drop_tail(0, 0);
 
   for (std::size_t c = 0; c < cfg.cores(); ++c) {
-    out.cores.push_back(&net.add_switch("core" + std::to_string(c)));
+    std::string name = "core";
+    name += std::to_string(c);
+    out.cores.push_back(&net.add_switch(name));
   }
   for (std::size_t p = 0; p < cfg.k; ++p) {
-    const std::string pod = "p" + std::to_string(p) + "_";
+    std::string pod = "p";
+    pod += std::to_string(p);
+    pod += '_';
     for (std::size_t j = 0; j < r; ++j) {
       out.aggs.push_back(&net.add_switch(pod + "agg" + std::to_string(j)));
     }

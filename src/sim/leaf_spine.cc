@@ -48,8 +48,11 @@ LeafSpine build_leaf_spine(const LeafSpineConfig& cfg,
                            switch_queue);
     }
     for (std::size_t h = 0; h < cfg.hosts_per_leaf; ++h) {
-      Host& host = net.add_host("h" + std::to_string(l) + "_" +
-                                std::to_string(h));
+      std::string name = "h";
+      name += std::to_string(l);
+      name += '_';
+      name += std::to_string(h);
+      Host& host = net.add_host(name);
       net.attach_host(host, leaf, cfg.host_link_bps, cfg.host_link_delay,
                       host_nic, switch_queue);
       out.hosts.push_back(&host);

@@ -11,7 +11,7 @@
 namespace dtdctcp::sim {
 
 void Port::require_idle_wire(const char* what) const {
-  if (!wire_.empty()) {
+  if (in_flight_ != 0) {
     throw std::logic_error(std::string("Port::") + what +
                            " while packets are on the wire");
   }
@@ -30,7 +30,10 @@ void Port::bind_simulator(Simulator& sim) {
   }
   settle_release();
   sim_ = &sim;
-  deferral_id_ = Simulator::kNoDeferral;  // the slot belongs to the old one
+  // The deferral slot and the lane ids belong to the old simulator.
+  deferral_id_ = Simulator::kNoDeferral;
+  memo_[0] = memo_[1] = LaneMemo{};
+  release_lane_ = Simulator::kNoLane;
 }
 
 void Port::set_remote(parsim::Mailbox* mb) {
@@ -71,7 +74,7 @@ void Port::send(Packet pkt) {
     // The release now has a packet to hand over: it becomes the event
     // it would always have been, at its reserved key.
     release_deferred_ = false;
-    sim_->release_at(release_, this);
+    sim_->release_at(release_, this, release_lane_);
   }
 }
 
@@ -88,6 +91,15 @@ std::size_t Port::drop_queued(SimTime now) {
   return n;
 }
 
+Port::LaneMemo& Port::lanes_for(std::uint16_t size) {
+  if (memo_[0].size != size) {
+    const LaneMemo other = memo_[1].size == size ? memo_[1] : LaneMemo{size};
+    memo_[1] = memo_[0];
+    memo_[0] = other;
+  }
+  return memo_[0];
+}
+
 void Port::begin_transmission(Packet pkt) {
   busy_ = true;
   if (trace_ != nullptr) trace_->packet_event("tx", pkt, sim_->now());
@@ -99,10 +111,10 @@ void Port::begin_transmission(Packet pkt) {
   const SimTime tx = units::transmission_time(pkt.size_bytes, rate);
   ++packets_sent_;
   bytes_sent_ += pkt.size_bytes;
-  // The packet is parked in the kernel's arena and its key joins the
-  // wire FIFO, so the pipe can hold multiple packets; transmitter
-  // release is a separate key. Both go through the kernel's typed fast
-  // path: no type-erased closure, no allocation.
+  LaneMemo& lanes = lanes_for(pkt.size_bytes);
+  // The arrival and the transmitter release are separate events, each
+  // in the lane of its delay; neither allocates (the arrival's capture
+  // fits the inline closure of a recycled arena slot).
   //
   // A cross-shard link hands the arrival to the peer shard's mailbox
   // instead: the arrival timestamp is computed here (same arithmetic as
@@ -110,38 +122,29 @@ void Port::begin_transmission(Packet pkt) {
   // consuming shard schedules it after the next window barrier. The
   // transmitter-release event is always local.
   if (remote_ == nullptr) {
-    const SimTime arrival = sim_->now() + (tx + prop_delay_);
-    if (!wire_.empty() && arrival < wire_.back().arrival) {
-      // Rounding could put an arrival behind its predecessor's only
-      // when a packet serializes in a few ulps of the clock (a zero-byte
-      // packet); such a packet keeps (time, seq) order as its own event.
-      sim_->deliver_at(arrival, peer_, std::move(pkt));
-    } else {
-      const std::uint32_t seq = sim_->reserve_seq();
-      wire_.push_back(
-          InFlight{arrival, seq, sim_->park(peer_, std::move(pkt))});
-      if (wire_.size() == 1) sim_->wire_arrival_at(arrival, seq, this);
-    }
+    const SimTime d = tx + prop_delay_;
+    lanes.arrival = sim_->lane(d, lanes.arrival);
+    ++in_flight_;
+    auto arrive = [this, pkt]() mutable {
+      --in_flight_;
+      peer_->receive(std::move(pkt));
+    };
+    static_assert(EventClosure::kFitsInline<decltype(arrive)>);
+    sim_->lane_at(lanes.arrival, sim_->reserve_key(sim_->now() + d),
+                  std::move(arrive));
   } else {
     DTDCTCP_CHECK_HOOK(packet_exported(this, pkt));
     remote_->push(sim_->now() + tx + prop_delay_, peer_, std::move(pkt));
   }
+  lanes.release = sim_->lane(tx, lanes.release);
+  release_lane_ = lanes.release;
   release_ = sim_->reserve_key(sim_->now() + tx);
   if (disc_->packets() > 0) {
-    sim_->release_at(release_, this);
+    sim_->release_at(release_, this, release_lane_);
   } else {
     release_deferred_ = true;
     sim_->defer(deferral_id_, release_);
   }
-}
-
-void Port::on_wire_arrival() {
-  const std::uint32_t slot = wire_.front().slot;
-  wire_.pop_front();
-  if (!wire_.empty()) {
-    sim_->wire_arrival_at(wire_.front().arrival, wire_.front().seq, this);
-  }
-  sim_->deliver_parked(slot);
 }
 
 void Port::on_transmit_complete() {

@@ -8,14 +8,12 @@
 // is delivered to the peer node. The pipe holds arbitrarily many packets
 // in flight, like a real wire.
 //
-// The packets in flight are parked in the kernel's payload arena. The
-// port keeps their keys in its own FIFO ring — arrival time and the
-// kernel sequence number reserved when the packet was sent — and the
-// kernel holds a single entry for the ring's head. Each
-// transmission starts after the previous one ends, so arrival times
-// along a link never decrease and FIFO order is (time, seq) order: the
-// packets arrive exactly when and in the order that one kernel event
-// per packet would deliver them.
+// The kernel delivers each packet at its own key — tx start + (tx +
+// prop), with the insertion sequence number taken when the packet
+// starts serializing — through its delay lanes (see simulator.h): the
+// arrival joins the lane of delay tx + prop, the transmitter release
+// the lane of delay tx. The port memoizes both lane ids for the packet
+// sizes it sends last, and counts its packets in flight itself.
 //
 // Releasing the transmitter when a transmission ends is an event only
 // when a packet is queued behind it. The port reserves the release's
@@ -23,7 +21,8 @@
 // it at once if the queue holds packets, and otherwise defers it: the
 // kernel keeps the key for its horizon (next_event_time) but queues
 // nothing. A packet queued behind a deferred release inserts it with its
-// reserved key. Otherwise the port settles the release on its next
+// reserved key (into its lane when it still orders last there, else
+// into the heap). Otherwise the port settles the release on its next
 // touch (send, drop_queued) once Simulator::passed says it would have
 // fired: it frees the transmitter and replays the empty dequeue at the
 // release time, because an empty dequeue is not always a no-op (CoDel
@@ -41,7 +40,6 @@
 #include "sim/packet.h"
 #include "sim/queue_disc.h"
 #include "sim/simulator.h"
-#include "util/ring_buffer.h"
 #include "util/units.h"
 
 namespace dtdctcp::parsim {
@@ -56,15 +54,15 @@ class Port {
        std::unique_ptr<QueueDisc> disc)
       : sim_(&sim), rate_bps_(rate_bps), prop_delay_(prop_delay),
         disc_(std::move(disc)) {}
-  // Kernel entries (transmitter release, wire head) hold the port's
+  // Kernel events (transmitter release, arrival) hold the port's
   // address.
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
   /// Sets the node packets are delivered to after propagation. Throws
   /// std::logic_error while packets are on the wire, as do
-  /// bind_simulator and set_remote: the wire's packets are parked in,
-  /// and its head entry scheduled on, the current simulator.
+  /// bind_simulator and set_remote: their arrivals are scheduled on the
+  /// current simulator and deliver to the current peer.
   void attach_peer(Node* peer);
 
   Node* peer() const { return peer_; }
@@ -121,7 +119,7 @@ class Port {
     return busy_ && !(release_deferred_ && sim_->passed(release_));
   }
   /// Packets serialized onto the local wire that have not yet arrived.
-  std::size_t packets_on_wire() const { return wire_.size(); }
+  std::size_t packets_on_wire() const { return in_flight_; }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -136,20 +134,20 @@ class Port {
   }
 
  private:
-  /// The kernel's typed tx-complete and wire-arrival events re-enter
-  /// here.
+  /// The kernel's typed tx-complete event re-enters here.
   friend class EventClosure;
 
-  struct InFlight {
-    SimTime arrival;
-    std::uint32_t seq;   ///< kernel insertion sequence, reserved at send
-    std::uint32_t slot;  ///< the packet, parked in the kernel's arena
+  /// The kernel lanes last used for one packet size.
+  struct LaneMemo {
+    std::uint16_t size = 0;
+    Simulator::LaneId arrival = Simulator::kNoLane;
+    Simulator::LaneId release = Simulator::kNoLane;
   };
 
   void begin_transmission(Packet pkt);
+  LaneMemo& lanes_for(std::uint16_t size);
   void settle_release();
   void on_transmit_complete();
-  void on_wire_arrival();
   void require_idle_wire(const char* what) const;
 
   Simulator* sim_;
@@ -160,11 +158,13 @@ class Port {
   Node* peer_ = nullptr;
   TraceSink* trace_ = nullptr;
   const double* avail_frac_ = nullptr;
-  util::RingBuffer<InFlight> wire_;
+  LaneMemo memo_[2];  ///< most recently used first
+  Simulator::LaneId release_lane_ = Simulator::kNoLane;  ///< for release_
   bool busy_ = false;            ///< transmitter held until the release
   bool release_deferred_ = false;  ///< release_ reserved, not queued
   Simulator::Key release_{0.0, 0};
   std::uint32_t deferral_id_ = Simulator::kNoDeferral;
+  std::uint32_t in_flight_ = 0;  ///< local arrivals not yet delivered
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t link_down_drops_ = 0;

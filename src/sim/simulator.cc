@@ -30,10 +30,6 @@ void EventClosure::tx_trampoline(void* payload) {
   (*std::launder(reinterpret_cast<Port**>(payload)))->on_transmit_complete();
 }
 
-void EventClosure::wire_trampoline(void* payload) {
-  (*std::launder(reinterpret_cast<Port**>(payload)))->on_wire_arrival();
-}
-
 namespace {
 
 // 4-ary heap sifts shared by the plain-event and the timer heap.
@@ -217,14 +213,69 @@ void Simulator::sift_down_plain(std::uint32_t pos) {
                  [this](const HeapEntry& e, std::uint32_t p) { heap_[p] = e; });
 }
 
-void Simulator::wire_arrival_at(SimTime t, std::uint32_t seq, Port* port) {
-  heap_.push_back(port_entry(t, seq, &EventClosure::wire_trampoline, port));
+// A key reserved earlier may be older than the pending buffer's seqs,
+// so it goes straight into the heap (the buffer stays in seq order for
+// its stable sort).
+void Simulator::push_plain(const HeapEntry& e) {
+  heap_.push_back(e);
   sift_up_plain(static_cast<std::uint32_t>(heap_.size() - 1));
 }
 
-void Simulator::release_at(Key k, Port* port) {
-  heap_.push_back(port_entry(k.time, k.seq, &EventClosure::tx_trampoline, port));
-  sift_up_plain(static_cast<std::uint32_t>(heap_.size() - 1));
+// Looks a delay up in the lane table. Once the table is full, a new
+// delay takes over an empty lane: it is in no heap entry, and the
+// callers' stale hints fail the delay check in lane().
+Simulator::LaneId Simulator::find_lane(SimTime d) {
+  if (std::isnan(d)) return kNoLane;  // would match no lane, ever
+  LaneId spare = kNoLane;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].delay == d) return static_cast<LaneId>(i);
+    if (spare == kNoLane && lanes_[i].q.empty()) {
+      spare = static_cast<LaneId>(i);
+    }
+  }
+  if (lanes_.size() < kMaxLanes) {
+    lanes_.push_back(Lane{d, {}});
+    return static_cast<LaneId>(lanes_.size() - 1);
+  }
+  if (spare != kNoLane) lanes_[spare].delay = d;
+  return spare;
+}
+
+// The lane stays sorted: `e` joins it only behind an earlier key, and
+// an empty lane enters the heap with `e` as its head. Anything else is
+// an ordinary heap entry.
+void Simulator::push_keyed(LaneId lane, const HeapEntry& e) {
+  if (lane < lanes_.size()) {
+    util::RingBuffer<HeapEntry>& q = lanes_[lane].q;
+    if (q.empty()) {
+      q.push_back(e);
+      push_plain(HeapEntry{e.time, e.seq, kLaneSlot + lane, nullptr, {}});
+      return;
+    }
+    if (earlier(q.back(), e)) {
+      q.push_back(e);
+      return;
+    }
+  }
+  push_plain(e);
+}
+
+// Pops the event at the front of a lane whose head entry is the heap's
+// top, and re-keys that entry in place to the lane's next event (or
+// removes it when the lane is drained).
+Simulator::HeapEntry Simulator::take_lane_head(std::uint32_t lane) {
+  util::RingBuffer<HeapEntry>& q = lanes_[lane].q;
+  const HeapEntry e = q.front();
+  q.pop_front();
+  if (q.empty()) {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+  } else {
+    heap_.front().time = q.front().time;
+    heap_.front().seq = q.front().seq;
+  }
+  if (!heap_.empty()) sift_down_plain(0);
+  return e;
 }
 
 void Simulator::sift_up_timer(std::uint32_t pos) {
@@ -390,6 +441,10 @@ void Simulator::step(Source src) {
     }
     case Source::kHeap: {
       const HeapEntry top = heap_.front();
+      if (top.slot >= kLaneSlot) {
+        fire(take_lane_head(top.slot - kLaneSlot));
+        return;
+      }
       heap_.front() = heap_.back();
       heap_.pop_back();
       if (!heap_.empty()) sift_down_plain(0);
@@ -405,27 +460,34 @@ void Simulator::step(Source src) {
   }
 }
 
-// Leaves a run loop: fixes what passed() reports until the next loop
-// (keys before `fired`, reserved before now) and retires the deferred
-// keys that passed.
-void Simulator::end_loop(Key fired) {
+// Leaves a run loop in which every key before `bound` passed (the
+// stopping event's key after stop()), retires those deferred keys and
+// fixes what passed() reports until the next loop. The keys that have
+// passed are a prefix of (time, seq) order: each fired event or retired
+// key is at or behind the clock, and a key reserved from here on orders
+// at or after (now, next seq). So passed() tests keys against one bound,
+// the lower of the two, and that bound never moves back: a loop that
+// stops short of an earlier one (run_window(t) after a stop at t)
+// keeps what had passed.
+void Simulator::end_loop(Key bound) {
   in_loop_ = false;
-  if (stopped_) fired = Key{now_, cur_seq_};
-  fired_ = fired;
-  seq_mark_ = next_seq_;
-  retire_deferred();
+  if (stopped_) bound = Key{now_, cur_seq_};
+  retire_deferred(bound);
+  const Key next{now_, next_seq_};
+  const Key frontier = earlier(bound, next) ? bound : next;
+  if (earlier(passed_, frontier)) passed_ = frontier;
 }
 
-// Forgets the deferred keys that have passed and returns the earliest
-// one that has not (+infinity if none). Each passed key stands for an
-// event that would have run, so the clock moves up to the latest of
-// them: now() between loops is what it would be had every key been
-// scheduled.
-SimTime Simulator::retire_deferred() {
+// Forgets the deferred keys before `bound` (they have passed) and
+// returns the earliest one left (+infinity if none). Each passed key
+// stands for an event that would have run, so the clock moves up to
+// the latest of them: now() between loops is what it would be had
+// every key been scheduled.
+SimTime Simulator::retire_deferred(Key bound) {
   SimTime earliest = std::numeric_limits<SimTime>::infinity();
   for (std::size_t i = 0; i < watched_.size();) {
     Deferred& d = deferred_[watched_[i]];
-    if (passed(d.key)) {
+    if (earlier(d.key, bound)) {
       if (now_ < d.key.time) now_ = d.key.time;
       d.watched = false;
       watched_[i] = watched_.back();
@@ -462,7 +524,7 @@ void Simulator::run() {
 
 SimTime Simulator::next_event_time() {
   const SimTime queued = next_source().time;
-  return std::min(queued, retire_deferred());
+  return std::min(queued, retire_deferred(passed_bound()));
 }
 
 void Simulator::run_window(SimTime end) {

@@ -15,10 +15,17 @@
 //     deadline only records the new key in the timer's slot, and the
 //     stale heap entry is re-keyed when it reaches the top. A timer
 //     restarted on every ACK therefore costs no sift per restart.
-//   * A Port keeps the keys of the packets it has serialized in its
-//     own FIFO (see port.h), the packets themselves parked in the slot
-//     arena, and the kernel holds one entry for the FIFO's head, keyed
-//     by the (time, seq) reserved when that packet was sent.
+//   * Delay lanes. A Port schedules each packet arrival at now + d and
+//     each transmitter release at now + d', and d takes a handful of
+//     values per simulator (one per link speed, propagation delay and
+//     packet size). Floating-point addition is monotone and the clock
+//     never runs back, so for one fixed d the events arrive in exact
+//     (time, seq) order, from every port alike. A lane is a FIFO of
+//     such events, and the plain heap holds one entry for its head.
+//     An event joins a lane only if it orders after the lane's back;
+//     otherwise (a release inserted late, a full lane table) it takes
+//     the heap like any event. Lanes are capped (kMaxLanes); a new
+//     delay takes over an empty lane once the cap is reached.
 //   * A key can be reserved without scheduling anything (reserve_key).
 //     A Port reserves the key of each transmitter release and inserts
 //     it only if a packet queues behind the transmission; a release
@@ -45,6 +52,7 @@
 #include <vector>
 
 #include "sim/packet.h"
+#include "util/ring_buffer.h"
 #include "util/units.h"
 
 namespace dtdctcp::sim {
@@ -130,11 +138,9 @@ class EventClosure {
     kind_ = Kind::kDeliver;
   }
 
-  /// In-entry trampolines for the transmitter-release and wire-arrival
-  /// events (they live here so Port can grant access with a single
-  /// friend declaration).
+  /// In-entry trampoline for the transmitter-release event (it lives
+  /// here so Port can grant access with a single friend declaration).
   static void tx_trampoline(void* payload);
-  static void wire_trampoline(void* payload);
 
   void reset() {
     if (kind_ == Kind::kInline || kind_ == Kind::kHeap) {
@@ -244,8 +250,7 @@ class Simulator {
         cancelled_(other.cancelled_),
         past_clamps_(other.past_clamps_),
         cur_seq_(other.cur_seq_),
-        seq_mark_(other.seq_mark_),
-        fired_(other.fired_),
+        passed_(other.passed_),
         stopped_(other.stopped_),
         in_loop_(other.in_loop_),
         heap_(std::move(other.heap_)),
@@ -258,7 +263,8 @@ class Simulator {
         slot_count_(other.slot_count_),
         free_head_(other.free_head_),
         deferred_(std::move(other.deferred_)),
-        watched_(std::move(other.watched_)) {
+        watched_(std::move(other.watched_)),
+        lanes_(std::move(other.lanes_)) {
     // The source must not destroy the slots it no longer owns.
     other.slot_count_ = 0;
     other.free_head_ = TimerHandle::kInvalid;
@@ -331,30 +337,11 @@ class Simulator {
   /// a shard's queue (parsim mailbox drain). The timestamp was computed
   /// on the sending shard; conservative lookahead guarantees it is never
   /// in this shard's past, but clamp_time still applies as a backstop.
-  /// A Port also uses it for the rare arrival that rounding puts ahead
-  /// of the packet before it on the wire.
   void deliver_at(SimTime t, Node* peer, Packet pkt) {
-    defer_entry(t, park(peer, std::move(pkt)));
-  }
-
-  /// Stores a packet bound for `peer` in the payload arena and returns
-  /// its slot, for deliver_parked. A Port's wire parks its in-flight
-  /// packets here and keeps only 16-byte keys itself, so packets in
-  /// flight on every port share the arena's recycled slots.
-  std::uint32_t park(Node* peer, Packet pkt) {
     const std::uint32_t slot = acquire_slot();
     slot_ref(slot).fn.set_deliver(peer, std::move(pkt));
-    return slot;
+    defer_entry(t, slot);
   }
-
-  /// Delivers a parked packet and recycles its slot. Called from the
-  /// wire-arrival event, which has already set the clock.
-  void deliver_parked(std::uint32_t slot) { run_slot(slot); }
-
-  /// Takes the next insertion sequence number for an event whose queue
-  /// entry is created later: a Port reserves one per packet it puts on
-  /// its wire, when the packet starts serializing.
-  std::uint32_t reserve_seq() { return next_seq_++; }
 
   /// An event key: fire order is (time, seq), seq compared with
   /// wraparound.
@@ -366,15 +353,47 @@ class Simulator {
   /// Reserves the key that scheduling an event at `t` would take now —
   /// `t` clamped and counted as by at(), the next insertion sequence
   /// number — without scheduling anything. The owner either inserts it
-  /// later (release_at) or registers it with defer() and settles it
+  /// (lane_at, release_at) or registers it with defer() and settles it
   /// itself once passed() says it would have fired.
   Key reserve_key(SimTime t) { return Key{clamp_time(t), next_seq_++}; }
 
-  /// Typed fast path: releases `port`'s transmitter at a reserved key.
-  /// The payload is one pointer, so it rides in the queue entry itself;
-  /// the seq may be older than those in the pending buffer, so the
-  /// entry goes straight into the heap.
-  void release_at(Key k, Port* port);
+  /// Names a delay lane (see the header); kNoLane means none.
+  using LaneId = std::uint16_t;
+  static constexpr LaneId kNoLane = 0xffff;
+  /// Lane table bound: distinct delays beyond it share the lanes that
+  /// are empty, or fall back to the heap.
+  static constexpr std::size_t kMaxLanes = 32;
+
+  /// The lane for events scheduled at now() + `d`. `hint` is an earlier
+  /// answer for the same `d` (callers memoize it; a stale or foreign
+  /// hint is detected). Opens a lane on first use; returns kNoLane when
+  /// the table is full and no lane is empty, or for a NaN delay.
+  LaneId lane(SimTime d, LaneId hint) {
+    if (hint < lanes_.size() && lanes_[hint].delay == d) return hint;
+    return find_lane(d);
+  }
+
+  /// Schedules `fn` (placed in the payload arena) at reserved key `k`
+  /// through `lane` (any lane id, or kNoLane): appended if `k` orders
+  /// after the lane's back, so the lane stays sorted, else queued in the
+  /// heap. Either way the event fires at `k`.
+  template <typename F>
+  void lane_at(LaneId lane, Key k, F&& fn) {
+    const std::uint32_t slot = acquire_slot();
+    slot_ref(slot).fn.emplace(std::forward<F>(fn));
+    push_keyed(lane, HeapEntry{k.time, k.seq, slot, nullptr, {}});
+  }
+
+  /// Typed fast path: releases `port`'s transmitter at a reserved key,
+  /// through `lane` as lane_at does. The payload is one pointer, so it
+  /// rides in the queue entry itself.
+  void release_at(Key k, Port* port, LaneId lane) {
+    push_keyed(lane, port_entry(k.time, k.seq, &EventClosure::tx_trampoline,
+                                port));
+  }
+
+  /// Lanes opened so far (at most kMaxLanes).
+  std::size_t lanes() const { return lanes_.size(); }
 
   /// Registers a reserved key that has no queue entry, so that
   /// next_event_time() and empty() still account for it. `id` names the
@@ -402,23 +421,12 @@ class Simulator {
   ///  * after run_until(t) returned without stop(), iff k.time <= t;
   ///  * after run_window(end), iff k.time < end;
   ///  * after run() drained the queue, always;
-  ///  * after stop(), iff `k` orders before the stopping event.
-  /// A key reserved after the last run loop returned never counts as
-  /// passed (and none does before the first loop).
-  bool passed(Key k) const {
-    if (in_loop_) return earlier(k, Key{now_, cur_seq_});
-    // A key behind the clock predates the loop's return; one at or
-    // after it is told apart by its seq.
-    return earlier(k, fired_) &&
-           (k.time < now_ ||
-            static_cast<std::int32_t>(k.seq - seq_mark_) < 0);
-  }
-
-  /// Typed fast path: the arrival of the packet at the head of `port`'s
-  /// wire, keyed by the (time, seq) reserved when it was sent. The seq
-  /// is older than those in the pending buffer, so the entry goes
-  /// straight into the heap.
-  void wire_arrival_at(SimTime t, std::uint32_t seq, Port* port);
+  ///  * after stop(), iff `k` orders before the stopping event;
+  /// and a key that has passed stays passed through later loops. A key
+  /// reserved after the last run loop returned never counts as passed
+  /// (and none does before the first loop). Outside a loop this holds
+  /// for keys that were deferred or inserted, as reserve_key asks.
+  bool passed(Key k) const { return earlier(k, passed_bound()); }
 
   /// Runs until the event queue drains or stop() is called.
   void run();
@@ -452,14 +460,23 @@ class Simulator {
   /// True when no event is pending, deferred keys included.
   bool empty() const;
 
-  /// Kernel entries: plain events, live timers, and one entry per port
-  /// wire that holds packets (the packets themselves and deferred keys
-  /// are not counted).
+  /// Kernel entries: plain events, live timers, and one entry per
+  /// non-empty delay lane (the events queued behind a lane's head and
+  /// deferred keys are not counted).
   /// Cancelled timers are removed eagerly and a rescheduled timer keeps
   /// its entry, so a flow that restarts its RTO holds exactly one.
   std::size_t queue_size() const {
     return heap_.size() + timers_.size() + pending_.size() +
            (sorted_.size() - cursor_);
+  }
+
+  /// Events pending, every lane event counted (deferred keys are not).
+  std::size_t pending_events() const {
+    std::size_t n = queue_size();
+    for (const Lane& l : lanes_) {
+      if (!l.q.empty()) n += l.q.size() - 1;
+    }
+    return n;
   }
 
   std::uint64_t timers_cancelled() const { return cancelled_; }
@@ -478,7 +495,9 @@ class Simulator {
   // kInlineSlot sentinel meaning the payload lives *in the entry*:
   // `fn` is a plain function pointer and `payload` holds a small
   // trivially-copyable capture. In-entry events bypass the arena
-  // entirely on both the schedule and the fire path.
+  // entirely on both the schedule and the fire path. A lane's head entry
+  // carries kLaneSlot + the lane's index and no payload: the event
+  // itself waits at the front of the lane.
   struct HeapEntry {
     SimTime time;
     std::uint32_t seq;
@@ -520,6 +539,8 @@ class Simulator {
   /// `slot` sentinel for in-entry payloads (no arena slot; above any
   /// reachable arena id).
   static constexpr std::uint32_t kInlineSlot = 0x7fffffffu;
+  /// `slot` base for lane heads (kLaneSlot + lane index).
+  static constexpr std::uint32_t kLaneSlot = 0x80000000u;
   // 256 slots (32 KiB) per chunk: small enough that glibc serves chunks
   // from its recycled arena instead of fresh mmap'd pages, so repeated
   // simulator construction reuses warm memory.
@@ -596,6 +617,10 @@ class Simulator {
     return e;
   }
 
+  LaneId find_lane(SimTime d);
+  void push_keyed(LaneId lane, const HeapEntry& e);
+  void push_plain(const HeapEntry& e);
+  HeapEntry take_lane_head(std::uint32_t lane);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void flush_pending();
@@ -613,8 +638,11 @@ class Simulator {
   }
   bool sorted_drained() const { return cursor_ == sorted_.size(); }
   Next next_source();
-  void end_loop(Key fired);
-  SimTime retire_deferred();
+  Key passed_bound() const {
+    return in_loop_ ? Key{now_, cur_seq_} : passed_;
+  }
+  void end_loop(Key bound);
+  SimTime retire_deferred(Key bound);
   void fire(HeapEntry e);
   void fire_slot(SimTime time, std::uint32_t seq, std::uint32_t slot);
   void run_slot(std::uint32_t slot);
@@ -626,11 +654,9 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::uint64_t past_clamps_ = 0;
   std::uint32_t cur_seq_ = 0;  ///< seq of the running (or stopping) event
-  // passed() outside a run loop: keys before `fired_` reserved before
-  // the last loop returned (`seq_mark_` is the next seq at that point).
-  // No key passes before the first loop.
-  std::uint32_t seq_mark_ = 0;
-  Key fired_{-std::numeric_limits<SimTime>::infinity(), 0};
+  // passed() outside a run loop: the keys before `passed_` (see
+  // end_loop). No key passes before the first loop.
+  Key passed_{-std::numeric_limits<SimTime>::infinity(), 0};
   bool stopped_ = false;
   bool in_loop_ = false;
   std::vector<HeapEntry> heap_;     ///< plain events
@@ -660,6 +686,13 @@ class Simulator {
   };
   std::vector<Deferred> deferred_;
   std::vector<std::uint32_t> watched_;
+  // Delay lanes, opened on first use: each queue is sorted by (time,
+  // seq) and is in the heap (by its front) exactly while non-empty.
+  struct Lane {
+    SimTime delay;
+    util::RingBuffer<HeapEntry> q;
+  };
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace dtdctcp::sim

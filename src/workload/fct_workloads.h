@@ -261,7 +261,9 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
   std::vector<sim::Host*> senders;
   senders.reserve(cfg.senders);
   for (std::size_t i = 0; i < cfg.senders; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, 10.0 * cfg.link_bps, 25e-6, edge,
                     pool_wrap(edge, queue::EcnOccupancySource::kPortQueue));
     senders.push_back(&h);

@@ -128,7 +128,9 @@ TEST(D2tcp, MixedDeadlinesPrioritizeTightFlowsEndToEnd) {
                                          queue::ThresholdUnit::kPackets));
     std::vector<sim::Host*> hosts;
     for (int i = 0; i < 4; ++i) {
-      auto& h = net.add_host("h" + std::to_string(i));
+      std::string name = "h";
+      name += std::to_string(i);
+      auto& h = net.add_host(name);
       net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
       hosts.push_back(&h);
     }

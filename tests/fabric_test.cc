@@ -510,7 +510,9 @@ TEST(SharedPool, DynamicThresholdShieldsVictimPortUnderFabricIncast) {
 
     std::vector<sim::Host*> senders;
     for (int i = 0; i < 4; ++i) {
-      auto& h = net.add_host("s" + std::to_string(i));
+      std::string name = "s";
+      name += std::to_string(i);
+      auto& h = net.add_host(name);
       net.attach_host(h, leaf0, units::gbps(10), 2e-6, plain, plain);
       senders.push_back(&h);
     }

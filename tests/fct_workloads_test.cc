@@ -116,7 +116,9 @@ TEST(FctWorkloads, LifecycleInvariantsUnderLoad) {
                   workload::fct_marking(workload::FctScheme::kDctcp, 250));
   std::vector<sim::Host*> senders;
   for (int i = 0; i < 4; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
     senders.push_back(&h);
   }

@@ -15,8 +15,15 @@
 // next_event_time() and move the clock like any event, but run nothing
 // and are not counted. At every step the kernel's passed() must agree
 // with whether the model has fired them.
+//
+// Lane events (lane_at) are events like any other to the model. The
+// script schedules them at now + d from several sources that share a
+// few delays, draws from more distinct delays than the kernel's lane
+// cap, and inserts some reserved keys late (out of order, as a Port
+// inserts a release once a packet queues behind it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -82,13 +89,26 @@ class ReferenceSim {
     ++live_noops_;
     return Handle{id};
   }
-  bool passed(const Handle& h) const { return !events_[h.id].live; }
+  // Makes a reserved key, not yet passed, an event that runs `fn`.
+  template <typename F>
+  void insert(const Handle& h, F&& fn) {
+    Event& e = events_[h.id];
+    e.fn = std::forward<F>(fn);
+    e.noop = false;
+    --live_noops_;
+  }
+  // Like the kernel, an event does not count as passed while it runs,
+  // nor after it stopped the loop (until the next event runs).
+  bool passed(const Handle& h) const {
+    return !events_[h.id].live && h.id != running_;
+  }
 
   void stop() { stopped_ = true; }
 
   void run() {
     stopped_ = false;
     while (!stopped_ && !live_.empty()) fire(earliest());
+    end_loop();
   }
 
   void run_until(SimTime t) {
@@ -99,6 +119,7 @@ class ReferenceSim {
       fire(i);
     }
     if (!stopped_ && now_ < t) now_ = t;
+    end_loop();
   }
 
   void run_window(SimTime end) {
@@ -108,6 +129,7 @@ class ReferenceSim {
       if (events_[live_[i]].time >= end) break;
       fire(i);
     }
+    end_loop();
   }
 
   SimTime next_event_time() const {
@@ -115,7 +137,7 @@ class ReferenceSim {
     return events_[live_[earliest()]].time;
   }
 
-  std::size_t queue_size() const { return live_.size() - live_noops_; }
+  std::size_t pending_events() const { return live_.size() - live_noops_; }
   std::uint64_t timers_cancelled() const { return cancelled_; }
   std::uint64_t past_schedule_clamps() const { return clamps_; }
   std::uint64_t events_processed() const { return processed_; }
@@ -156,6 +178,10 @@ class ReferenceSim {
     return best;
   }
 
+  void end_loop() {
+    if (!stopped_) running_ = Handle::kNone;
+  }
+
   void kill(std::size_t id) {
     events_[id].live = false;
     for (std::size_t i = 0; i < live_.size(); ++i) {
@@ -176,6 +202,7 @@ class ReferenceSim {
       return;
     }
     ++processed_;
+    running_ = id;
     std::function<void()> fn = std::move(events_[id].fn);
     fn();
   }
@@ -186,16 +213,18 @@ class ReferenceSim {
   std::uint64_t clamps_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t live_noops_ = 0;
+  std::size_t running_ = Handle::kNone;  ///< running or stopping event
   bool stopped_ = false;
   std::deque<Event> events_;
   std::vector<std::size_t> live_;
 };
 
 // One observation: what happened (kind), which event or result (id), the
-// clock or probed time, the kernel counters at that moment, and which
-// reserved keys have passed (one bit per channel).
+// clock or probed time, the kernel counters at that moment (pending
+// events, timers cancelled, past clamps), which reserved keys have
+// passed (one bit per channel), and the events processed.
 using Record = std::tuple<int, long, SimTime, std::size_t, std::uint64_t,
-                          std::uint64_t, unsigned>;
+                          std::uint64_t, unsigned, std::uint64_t>;
 
 enum Kind : int {
   kFire,
@@ -206,6 +235,7 @@ enum Kind : int {
   kNextEvent,
   kAfterRun,
   kReserve,
+  kInsert,
   kEnd,
 };
 
@@ -220,7 +250,8 @@ class Script {
     // sorted-run path, plus a few timers.
     for (int i = 0; i < 40; ++i) schedule_plain();
     for (int i = 0; i < 10; ++i) new_timer();
-    for (int round = 0; round < 400 && (sim_.queue_size() > 0 || reserved());
+    for (int round = 0;
+         round < 400 && (sim_.pending_events() > 0 || reserved());
          ++round) {
       switch (pick(5)) {
         case 0:
@@ -250,6 +281,9 @@ class Script {
     return std::move(log_);
   }
 
+  /// The most lanes the kernel held at any record.
+  std::size_t max_lanes() const { return max_lanes_; }
+
  private:
   using Handle = decltype(std::declval<Sim&>().timer_at(0.0, [] {}));
   struct Timer {
@@ -261,11 +295,17 @@ class Script {
   // event has not passed.
   struct Channel {
     bool used = false;
+    bool inserted = false;  ///< the key was made an event
+    SimTime d = 0.0;        ///< the delay it was reserved with
     std::uint32_t id = sim::Simulator::kNoDeferral;
     sim::Simulator::Key key{0.0, 0};
     ReferenceSim::Handle h;
   };
   static constexpr int kChannels = 4;
+  // Lane sources: each memoizes its lane per delay, as a Port does.
+  static constexpr int kLaneSources = 3;
+  static constexpr SimTime kLaneDelays[] = {0.25, 0.5, 1.0, 1.5};
+  static constexpr int kLaneDelayCount = 4;
   // A one-pointer capture: the kernel stores it inside the queue entry.
   struct Rec {
     Script* owner;
@@ -290,8 +330,13 @@ class Script {
   SimTime window() { return 0.25 * pick(8); }
 
   void note(int kind, long id, SimTime t) {
-    log_.emplace_back(kind, id, t, sim_.queue_size(), sim_.timers_cancelled(),
-                      sim_.past_schedule_clamps(), passed_bits());
+    if constexpr (kKernel) {
+      EXPECT_LE(sim_.queue_size(), sim_.pending_events());
+      max_lanes_ = std::max(max_lanes_, sim_.lanes());
+    }
+    log_.emplace_back(kind, id, t, sim_.pending_events(),
+                      sim_.timers_cancelled(), sim_.past_schedule_clamps(),
+                      passed_bits(), sim_.events_processed());
   }
 
   bool passed(const Channel& c) const {
@@ -319,7 +364,8 @@ class Script {
     for (int i = 0; i < kChannels; ++i) {
       Channel& c = channels_[i];
       if ((c.used && !passed(c)) || pick(2) == 0) continue;
-      const SimTime t = sim_.now() + delay();
+      c.d = delay();
+      const SimTime t = sim_.now() + c.d;
       if constexpr (kKernel) {
         c.key = sim_.reserve_key(t);
         sim_.defer(c.id, c.key);
@@ -327,8 +373,46 @@ class Script {
         c.h = sim_.reserve(t);
       }
       c.used = true;
+      c.inserted = false;
       used_bits_ |= 1u << i;
       note(kReserve, i, t);
+    }
+  }
+
+  // Makes a channel's reserved key an event, through the lane of its
+  // delay: usually behind later keys there, so it falls back to the
+  // heap.
+  void insert_reserved() {
+    Channel& c = channels_[pick(kChannels)];
+    if (!c.used || c.inserted || passed(c) || !spend()) return;
+    const long id = next_id_++;
+    c.inserted = true;
+    note(kInsert, id, c.d);
+    if constexpr (kKernel) {
+      sim_.lane_at(sim_.lane(c.d, sim::Simulator::kNoLane), c.key,
+                   [this, id] { on_fire(id); });
+    } else {
+      sim_.insert(c.h, [this, id] { on_fire(id); });
+    }
+  }
+
+  // An event at now + d through a lane: one of a few delays shared by
+  // the sources, or one of 64 (more than the lane cap).
+  void schedule_lane() {
+    if (!spend()) return;
+    const long id = next_id_++;
+    const int src = pick(kLaneSources);
+    const bool shared = pick(4) != 0;
+    const int k = shared ? pick(kLaneDelayCount) : pick(64);
+    const SimTime d = shared ? kLaneDelays[k] : 0.25 + k / 64.0;
+    const SimTime t = sim_.now() + d;
+    if constexpr (kKernel) {
+      sim::Simulator::LaneId& hint =
+          shared ? hints_[src][k] : wide_hints_[src];
+      hint = sim_.lane(d, hint);
+      sim_.lane_at(hint, sim_.reserve_key(t), [this, id] { on_fire(id); });
+    } else {
+      sim_.at(t, [this, id] { on_fire(id); });
     }
   }
 
@@ -378,7 +462,7 @@ class Script {
 
   void act() {
     for (int n = pick(4); n > 0 && budget_ > 0; --n) {
-      switch (pick(10)) {
+      switch (pick(14)) {
         case 0:
         case 1:
           schedule_plain();
@@ -408,6 +492,14 @@ class Script {
           break;
         case 8:
           reserve();
+          break;
+        case 9:
+        case 10:
+        case 11:
+          schedule_lane();
+          break;
+        case 12:
+          insert_reserved();
           break;
         default:
           if (pick(4) == 0) sim_.stop();
@@ -443,21 +535,30 @@ class Script {
   std::vector<Timer> timers_;
   Channel channels_[kChannels];
   unsigned used_bits_ = 0;
+  // Zero to start: hints lane() has not given, which it must check.
+  sim::Simulator::LaneId hints_[kLaneSources][kLaneDelayCount] = {};
+  sim::Simulator::LaneId wide_hints_[kLaneSources] = {};
+  std::size_t max_lanes_ = 0;
   std::deque<Rec> recs_;
   std::vector<Record> log_;
 };
 
 TEST(KernelOrder, MatchesReferenceModelOnRandomScripts) {
+  std::size_t max_lanes = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(seed);
     const std::vector<Record> want = Script<ReferenceSim>(seed).run(1200);
-    const std::vector<Record> got = Script<sim::Simulator>(seed).run(1200);
+    Script<sim::Simulator> kernel(seed);
+    const std::vector<Record> got = kernel.run(1200);
     ASSERT_GT(want.size(), 1000u);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "first divergence at record " << i;
     }
+    max_lanes = std::max(max_lanes, kernel.max_lanes());
   }
+  // The 64 wide delays fill the lane table; it never grows past the cap.
+  EXPECT_EQ(max_lanes, sim::Simulator::kMaxLanes);
 }
 
 TEST(KernelOrder, LazyRescheduleFiresAtTheNewKey) {
@@ -554,6 +655,33 @@ TEST(KernelOrder, PassedFollowsTheLastRunLoop) {
   EXPECT_EQ(s.now(), 3.0);
   EXPECT_EQ(s.events_processed(), 1u);
   EXPECT_EQ(s.next_event_time(), std::numeric_limits<SimTime>::infinity());
+}
+
+// A stop() at 1.0 with more events pending at 1.0, then a window that
+// ends at 1.0 and a run_until into the past: neither runs anything,
+// and what had passed stays passed.
+TEST(KernelOrder, PassedKeysStayPassedAfterAShorterLoop) {
+  sim::Simulator s;
+  std::uint32_t id = sim::Simulator::kNoDeferral;
+  const sim::Simulator::Key k = s.reserve_key(1.0);
+  s.defer(id, k);
+  s.at(1.0, [&] { s.stop(); });
+  s.at(1.0, [] {});
+  s.run();
+  EXPECT_TRUE(s.passed(k));
+  EXPECT_EQ(s.next_event_time(), 1.0);
+  s.run_window(1.0);
+  EXPECT_TRUE(s.passed(k));
+  s.run_until(0.5);
+  EXPECT_TRUE(s.passed(k));
+  EXPECT_EQ(s.now(), 1.0);
+  EXPECT_EQ(s.events_processed(), 1u);
+  // A key reserved now, at the clock, is still ahead.
+  const sim::Simulator::Key later = s.reserve_key(1.0);
+  EXPECT_FALSE(s.passed(later));
+  s.run();
+  EXPECT_TRUE(s.passed(later));
+  EXPECT_EQ(s.events_processed(), 2u);
 }
 
 }  // namespace

@@ -4,22 +4,25 @@
 // one arrival event per packet — the port model written as plainly as
 // possible. sim::Port defers a release that would find an empty queue
 // and settles it on its next touch, replaying the empty dequeue; its
-// wire keeps one kernel entry for many packets. Both take the same
-// insertion sequence numbers at the same points, so a seeded random
-// script (bursts and sources scheduled from handlers, drop_queued,
-// stop(), sends between run loops, run_until/run_window/run boundaries
-// on a grid that makes equal times common) must produce the same
-// arrivals, the same call log at the queue discipline — every enqueue,
+// arrivals and releases go through the kernel's delay lanes. Both take
+// the same insertion sequence numbers at the same points, so a seeded
+// random script (bursts and sources scheduled from handlers,
+// drop_queued, stop(), sends between run loops, run_until/run_window/run
+// boundaries on a grid that makes equal times common) must produce the
+// same arrivals, the same call log at the queue discipline — every enqueue,
 // dequeue (including the empty ones) and bypass, with its time and
 // result — and the same counters, clock, busy() and horizon. The call
 // log is kept apart from the rest: a replayed empty dequeue carries
 // its release time but is made later, at the port's next touch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -98,6 +101,7 @@ class ReferencePort {
       : sim_(sim), rate_(rate), delay_(delay), disc_(std::move(disc)) {}
 
   void attach_peer(sim::Node* peer) { peer_ = peer; }
+  void set_available_rate_fraction(const double* frac) { frac_ = frac; }
   bool busy() const { return busy_; }
   std::uint64_t link_down_drops() const { return link_down_drops_; }
   sim::Counters counters() const {
@@ -134,7 +138,8 @@ class ReferencePort {
  private:
   void begin_transmission(const sim::Packet& pkt) {
     busy_ = true;
-    const SimTime tx = units::transmission_time(pkt.size_bytes, rate_);
+    const DataRate rate = frac_ == nullptr ? rate_ : rate_ * *frac_;
+    const SimTime tx = units::transmission_time(pkt.size_bytes, rate);
     ++packets_sent_;
     bytes_sent_ += pkt.size_bytes;
     sim_.at(sim_.now() + (tx + delay_),
@@ -153,6 +158,7 @@ class ReferencePort {
   SimTime delay_;
   std::unique_ptr<sim::QueueDisc> disc_;
   sim::Node* peer_ = nullptr;
+  const double* frac_ = nullptr;
   bool busy_ = false;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
@@ -201,15 +207,36 @@ struct Outcome {
   std::vector<Record> log;
   std::vector<Record> disc_log;
   std::uint64_t events = 0;
+  std::size_t max_entries = 0;  ///< most kernel entries after a step
+  std::size_t lanes = 0;        ///< lanes opened
+  std::uint64_t deferred = 0;   ///< releases never scheduled (run_both)
+};
+
+// The links a script drives: how many ports (all into one sink, with
+// equal rate and delay, so their arrivals share lanes), their
+// propagation delay, and whether a hybrid rate gauge changes before
+// every send (so every transmission has its own delays).
+struct Links {
+  int ports = 1;
+  SimTime delay = kDelay;
+  bool gauge = false;
 };
 
 template <typename P>
 class Script {
  public:
-  Script(std::uint64_t seed, Disc disc)
-      : state_(seed),
-        port_(sim_, kRate, kDelay, make_disc(disc, &disc_log_)) {
-    port_.attach_peer(&sink_);
+  Script(std::uint64_t seed, Disc disc, Links links = {})
+      : state_(seed), links_(links) {
+    // One call log per port: a port replays a deferred release's empty
+    // dequeue at its own next touch, which other ports' calls may
+    // precede.
+    disc_logs_.resize(static_cast<std::size_t>(links.ports));
+    for (auto& disc_log : disc_logs_) {
+      ports_.push_back(std::make_unique<P>(sim_, kRate, links.delay,
+                                           make_disc(disc, &disc_log)));
+      ports_.back()->attach_peer(&sink_);
+      if (links.gauge) ports_.back()->set_available_rate_fraction(&frac_);
+    }
   }
 
   Outcome run(int budget) {
@@ -238,30 +265,40 @@ class Script {
         case 5:
           if (pick(4) == 0) {
             log_.emplace_back(kDropQueued, step, sim_.now(),
-                              static_cast<long>(port_.drop_queued(sim_.now())));
+                              static_cast<long>(drop_queued()));
           }
           break;
         default:
           log_.emplace_back(kNextEvent, step, sim_.next_event_time(), 1);
           break;
       }
-      log_.emplace_back(kAfterRun, step, sim_.now(), port_.busy() ? 1 : 0);
+      log_.emplace_back(kAfterRun, step, sim_.now(), busy_bits());
+      if constexpr (std::is_same_v<P, sim::Port>) {
+        max_entries_ = std::max(max_entries_, sim_.queue_size());
+        EXPECT_LE(sim_.lanes(), sim::Simulator::kMaxLanes);
+      }
     }
     budget_ = 0;
     sim_.run();
     // A last touch settles the final release, so its empty dequeue is
     // in the call log too.
-    log_.emplace_back(kDropQueued, 0, sim_.now(),
-                      static_cast<long>(port_.drop_queued(sim_.now())));
-    const sim::Counters c = port_.counters();
     const SimTime end = sim_.now();
-    for (const std::uint64_t v :
-         {c.offered, c.enqueued, c.dequeued, c.bypassed, c.dropped, c.marked,
-          c.sent_packets, c.sent_bytes, port_.link_down_drops()}) {
-      log_.emplace_back(kCounter, v, end, 0);
+    for (auto& port : ports_) {
+      log_.emplace_back(kDropQueued, 0, end,
+                        static_cast<long>(port->drop_queued(end)));
+      const sim::Counters c = port->counters();
+      for (const std::uint64_t v :
+           {c.offered, c.enqueued, c.dequeued, c.bypassed, c.dropped,
+            c.marked, c.sent_packets, c.sent_bytes, port->link_down_drops()}) {
+        log_.emplace_back(kCounter, v, end, 0);
+      }
     }
-    return Outcome{std::move(log_), std::move(disc_log_),
-                   sim_.events_processed()};
+    std::vector<Record> disc_log;
+    for (const auto& l : disc_logs_) {
+      disc_log.insert(disc_log.end(), l.begin(), l.end());
+    }
+    return Outcome{std::move(log_), std::move(disc_log),
+                   sim_.events_processed(), max_entries_, sim_.lanes()};
   }
 
  private:
@@ -294,10 +331,30 @@ class Script {
     return pkt;
   }
 
+  // One draw picks the port, so a single-port script draws nothing.
+  P& any_port() {
+    return *ports_[links_.ports == 1 ? 0 : pick(links_.ports)];
+  }
+
+  long busy_bits() const {
+    long bits = 0;
+    for (std::size_t i = 0; i < ports_.size(); ++i) {
+      if (ports_[i]->busy()) bits |= 1L << i;
+    }
+    return bits;
+  }
+
+  std::size_t drop_queued() { return any_port().drop_queued(sim_.now()); }
+
   void burst() {
     for (int n = 1 + pick(2); n > 0 && budget_ > 0; --n) {
       --budget_;
-      port_.send(packet());
+      P& port = any_port();
+      sim::Packet pkt = packet();
+      // A fluid background's share moves between any two sends; dyadic
+      // fractions in [1/2, 1), drawn only when the gauge is on.
+      if (links_.gauge) frac_ = 0.5 + pick(512) / 1024.0;
+      port.send(pkt);
     }
   }
 
@@ -310,12 +367,11 @@ class Script {
 
   void on_source(long id) {
     log_.emplace_back(kSource, static_cast<std::uint64_t>(id), sim_.now(),
-                      port_.busy() ? 1 : 0);
+                      busy_bits());
     switch (pick(40)) {
       case 0:
         log_.emplace_back(kDropQueued, static_cast<std::uint64_t>(id),
-                          sim_.now(),
-                          static_cast<long>(port_.drop_queued(sim_.now())));
+                          sim_.now(), static_cast<long>(drop_queued()));
         break;
       case 1:
       case 2:
@@ -333,37 +389,50 @@ class Script {
 
   sim::Simulator sim_;
   std::vector<Record> log_;
-  std::vector<Record> disc_log_;
+  std::vector<std::vector<Record>> disc_logs_;
   Sink sink_{sim_, &log_};
   std::uint64_t state_;
-  P port_;
+  Links links_;
+  double frac_ = 1.0;
+  std::vector<std::unique_ptr<P>> ports_;
+  std::size_t max_entries_ = 0;
   int budget_ = 0;
   long next_source_ = 0;
   int sources_ = 0;
   std::uint64_t uid_ = 0;
 };
 
+// Runs the script against both ports and diffs them record by record;
+// `got` receives the sim::Port outcome.
+void run_both(Disc disc, std::uint64_t seed, const Links& links,
+              Outcome& got) {
+  const Outcome want = Script<ReferencePort>(seed, disc, links).run(1500);
+  got = Script<sim::Port>(seed, disc, links).run(1500);
+  ASSERT_GT(want.log.size(), 1000u);
+  ASSERT_GT(want.disc_log.size(), 1000u);
+  for (std::size_t i = 0; i < want.log.size() && i < got.log.size(); ++i) {
+    ASSERT_EQ(got.log[i], want.log[i]) << "first divergence at record " << i;
+  }
+  ASSERT_EQ(got.log.size(), want.log.size());
+  for (std::size_t i = 0;
+       i < want.disc_log.size() && i < got.disc_log.size(); ++i) {
+    ASSERT_EQ(got.disc_log[i], want.disc_log[i])
+        << "first divergent disc call at " << i;
+  }
+  ASSERT_EQ(got.disc_log.size(), want.disc_log.size());
+  // Only releases that found an empty queue are missing.
+  ASSERT_LE(got.events, want.events);
+  got.deferred = want.events - got.events;
+}
+
 void expect_same(Disc disc) {
   std::uint64_t deferred = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     SCOPED_TRACE(seed);
-    const Outcome want = Script<ReferencePort>(seed, disc).run(1500);
-    const Outcome got = Script<sim::Port>(seed, disc).run(1500);
-    ASSERT_GT(want.log.size(), 1000u);
-    ASSERT_GT(want.disc_log.size(), 1000u);
-    for (std::size_t i = 0; i < want.log.size() && i < got.log.size(); ++i) {
-      ASSERT_EQ(got.log[i], want.log[i]) << "first divergence at record " << i;
-    }
-    ASSERT_EQ(got.log.size(), want.log.size());
-    for (std::size_t i = 0;
-         i < want.disc_log.size() && i < got.disc_log.size(); ++i) {
-      ASSERT_EQ(got.disc_log[i], want.disc_log[i])
-          << "first divergent disc call at " << i;
-    }
-    ASSERT_EQ(got.disc_log.size(), want.disc_log.size());
-    // Only releases that found an empty queue are missing.
-    ASSERT_LE(got.events, want.events);
-    deferred += want.events - got.events;
+    Outcome got;
+    run_both(disc, seed, Links{}, got);
+    if (::testing::Test::HasFatalFailure()) return;
+    deferred += got.deferred;
   }
   EXPECT_GT(deferred, 1000u) << "the script no longer defers releases";
 }
@@ -378,6 +447,123 @@ TEST(PortDifferential, CodelMatchesReferencePort) {
 
 TEST(PortDifferential, WrrMultiQueueMatchesReferencePort) {
   expect_same(Disc::kWrr);
+}
+
+// Several ports with one rate and delay put their arrivals into one
+// lane per packet size: the kernel holds one entry for many packets.
+TEST(PortDifferential, FanInPortsShareLanes) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Outcome got;
+    run_both(Disc::kDropTail, seed, Links{4, kDelay, false}, got);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  sim::Simulator s;
+  std::vector<Record> log;
+  Sink sink(s, &log);
+  std::vector<std::unique_ptr<sim::Port>> ports;
+  for (int i = 0; i < 4; ++i) {
+    ports.push_back(std::make_unique<sim::Port>(
+        s, kRate, kDelay, std::make_unique<queue::DropTailQueue>(0, 0)));
+    ports.back()->attach_peer(&sink);
+    sim::Packet pkt;
+    pkt.uid = static_cast<std::uint64_t>(i) + 1;
+    pkt.size_bytes = 1500;
+    ports.back()->send(pkt);
+  }
+  // Four packets in flight on four ports; their releases are deferred
+  // (nothing queued behind them), so one lane head is the only entry.
+  EXPECT_EQ(s.queue_size(), 1u);
+  EXPECT_EQ(s.pending_events(), 4u);
+  EXPECT_EQ(s.lanes(), 2u);  // the arrival delay and the release delay
+  s.run();
+  ASSERT_EQ(log.size(), 4u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i], Record(kArrive, i + 1, 1600 * kUnit, 0));
+  }
+}
+
+// A hybrid gauge that moves before every send gives every transmission
+// its own delays. Lanes fill up to the cap, long links keep them busy,
+// and the rest of the events take the heap; the order is unchanged.
+TEST(PortDifferential, PerPacketGaugeFallsBackWithBoundedLanes) {
+  std::size_t max_entries = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Outcome got;
+    run_both(Disc::kCodel, seed, Links{4, 200000 * kUnit, true}, got);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(got.lanes, sim::Simulator::kMaxLanes);
+    max_entries = std::max(max_entries, got.max_entries);
+  }
+  // More entries than full lanes, the (at most four) pending sources
+  // and one release per port can hold: arrivals fell back to the heap.
+  EXPECT_GT(max_entries, sim::Simulator::kMaxLanes + 4 + 4);
+}
+
+// Lane events scheduled before the simulator is moved (constructed,
+// then assigned) fire in the same order afterwards, interleaved with
+// the traffic of a port built on the moved-to simulator.
+template <typename P>
+std::pair<std::vector<Record>, std::vector<Record>> moved_run() {
+  constexpr bool kLanes = std::is_same_v<P, sim::Port>;
+  constexpr SimTime kDelays[] = {40 * kUnit, 1500 * kUnit, 1540 * kUnit};
+  std::vector<Record> log;
+  std::vector<Record> disc_log;
+  std::function<void(int)> send;
+  sim::Simulator first;
+  sim::Simulator::LaneId hint[3] = {sim::Simulator::kNoLane,
+                                    sim::Simulator::kNoLane,
+                                    sim::Simulator::kNoLane};
+  for (int i = 0; i < 60; ++i) {
+    const int k = i % 3;
+    const SimTime t = (i / 3) * 500 * kUnit + kDelays[k];
+    auto fire = [&send, i] { send(i); };
+    if constexpr (kLanes) {
+      hint[k] = first.lane(kDelays[k], hint[k]);
+      first.lane_at(hint[k], first.reserve_key(t), fire);
+    } else {
+      first.at(t, fire);
+    }
+  }
+  sim::Simulator second(std::move(first));
+  sim::Simulator sim;
+  sim = std::move(second);
+  if constexpr (kLanes) {
+    EXPECT_EQ(sim.lanes(), 3u);
+    EXPECT_EQ(sim.queue_size(), 3u);
+    EXPECT_EQ(sim.pending_events(), 60u);
+  }
+  Sink sink(sim, &log);
+  P port(sim, kRate, kDelay, make_disc(Disc::kDropTail, &disc_log));
+  port.attach_peer(&sink);
+  send = [&](int i) {
+    log.emplace_back(kSource, static_cast<std::uint64_t>(i), sim.now(),
+                     port.busy() ? 1 : 0);
+    sim::Packet pkt;
+    pkt.uid = static_cast<std::uint64_t>(i) + 1;
+    pkt.size_bytes = i % 2 == 0 ? 1500 : 40;
+    port.send(pkt);
+  };
+  sim.run();
+  // A last touch settles the final release (its empty dequeue).
+  port.drop_queued(sim.now());
+  log.emplace_back(kCounter, sim.events_processed(), sim.now(), 0);
+  return {std::move(log), std::move(disc_log)};
+}
+
+TEST(PortDifferential, MovedSimulatorKeepsItsLanes) {
+  const auto want = moved_run<ReferencePort>();
+  const auto got = moved_run<sim::Port>();
+  ASSERT_GT(want.first.size(), 80u);
+  // The deferred releases aside (the last record holds the event
+  // count), both runs agree record by record.
+  ASSERT_EQ(got.first.size(), want.first.size());
+  for (std::size_t i = 0; i + 1 < want.first.size(); ++i) {
+    ASSERT_EQ(got.first[i], want.first[i]) << "first divergence at " << i;
+  }
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_LE(std::get<1>(got.first.back()), std::get<1>(want.first.back()));
 }
 
 // A deferred release has no queue entry, yet it is the earliest pending
@@ -395,7 +581,7 @@ TEST(PortDifferential, DeferredReleaseBoundsTheHorizon) {
   pkt.size_bytes = 1000;
   port.send(pkt);
   const SimTime tx = 1000 * kUnit;
-  EXPECT_EQ(s.queue_size(), 1u);  // only the wire head
+  EXPECT_EQ(s.queue_size(), 1u);  // only the arrival's lane head
   EXPECT_EQ(s.next_event_time(), tx);
   EXPECT_FALSE(s.empty());
   EXPECT_TRUE(port.busy());

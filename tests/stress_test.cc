@@ -55,7 +55,9 @@ RandomWorld build_world(Rng& rng) {
     }
   }
   for (int i = 0; i < n_hosts; ++i) {
-    auto& h = w.net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = w.net.add_host(name);
     auto* sw = w.switches[static_cast<std::size_t>(
         rng.uniform_int(0, n_switches - 1))];
     // Random discipline on the switch-to-host egress.

@@ -31,8 +31,10 @@ std::string case_name(const ::testing::TestParamInfo<TransferCase>& info) {
     case tcp::CcMode::kCubic: s += "Cubic"; break;
   }
   s += p.delayed_ack ? "Delack" : "Immediate";
-  s += "Segs" + std::to_string(p.segments);
-  s += "Q" + std::to_string(p.bottleneck_queue_pkts);
+  s += "Segs";
+  s += std::to_string(p.segments);
+  s += 'Q';
+  s += std::to_string(p.bottleneck_queue_pkts);
   return s;
 }
 
@@ -115,7 +117,9 @@ TEST_P(TcpFanInSweep, AllFlowsCompleteAndNoneStarves) {
                                        queue::ThresholdUnit::kPackets));
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < flows; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& h = net.add_host(name);
     net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
     hosts.push_back(&h);
   }

@@ -26,7 +26,9 @@ Dumbbell make_dumbbell(std::size_t flows) {
                     queue::ecn_threshold(0, 100, 40.0,
                                          queue::ThresholdUnit::kPackets));
   for (std::size_t i = 0; i < flows; ++i) {
-    auto& h = d.net.add_host("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    auto& h = d.net.add_host(name);
     d.net.attach_host(h, *d.sw, units::gbps(10), 25e-6, q, q);
     d.senders.push_back(&h);
   }
