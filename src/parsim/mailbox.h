@@ -9,11 +9,13 @@
 // correct and TSan-clean: the barrier's release/acquire edge publishes
 // every push before the drain reads it.
 //
-// Entries keep push (FIFO) order. The drain loop walks source shards in
-// ascending order, so an arrival's position in the destination
-// simulator's total order is (arrival time, source shard, mailbox
-// sequence) — the deterministic tie-break for same-timestamp packets
-// from different shards.
+// Entries keep push (FIFO) order. The drain concatenates the batches of
+// all source shards in ascending order, stably sorts the result by
+// arrival time (clamped to the shard's clock, as the kernel clamps),
+// and schedules it in that order through one kernel lane, so an
+// arrival's position in the destination simulator's total order is
+// (arrival time, source shard, mailbox sequence) — the deterministic
+// tie-break for same-timestamp packets from different shards.
 #pragma once
 
 #include <cstddef>

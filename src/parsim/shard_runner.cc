@@ -1,14 +1,20 @@
 #include "parsim/shard_runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 namespace dtdctcp::parsim {
 
 namespace {
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+// Names the kernel lane of mailbox imports: a port's delays are never
+// negative, so no port lane shares it.
+constexpr SimTime kInboxDelay = -1.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -24,6 +30,7 @@ ShardRunner::ShardRunner(ShardedNetwork& net, ShardRunnerOptions opts)
     sims_.push_back(&net_.shard_sim(s));
   }
   local_next_.assign(shards_, 0.0);
+  inboxes_.resize(shards_);
   telemetry_.shards = shards_;
   telemetry_.shard.assign(shards_, ShardStats{});
   checkers_.resize(shards_);
@@ -151,25 +158,57 @@ void ShardRunner::on_window_barrier() noexcept {
 }
 
 void ShardRunner::drain_inboxes(std::size_t s, ShardStats& st) {
-  // Source shards in ascending order, entries in push order: an
-  // arrival's schedule sequence in this shard realises the
-  // (time, src shard, mailbox seq) tie-break.
+  sim::Simulator& sim = *sims_[s];
+  Inbox& in = inboxes_[s];
+  // One batch: source shards ascending, entries in push order, each
+  // entry due at the time reserve_key will give it (clamped to now).
+  const SimTime now = sim.now();
   for (std::size_t src = 0; src < shards_; ++src) {
     if (src == s) continue;
     Mailbox* mb = net_.mailbox(src, s);
     if (mb == nullptr || mb->empty()) continue;
-    auto& batch = mb->entries();
-    if (batch.size() > st.mailbox_peak) st.mailbox_peak = batch.size();
-    for (Mailbox::Entry& e : batch) {
-      // The uid belongs to the exporting shard's checker (terminated
-      // there as "exported"); clear it so this shard's checker adopts
-      // the packet as a fresh injection instead of colliding with a
-      // live local uid. uids are checker-only state, never simulation
-      // state, so this cannot affect results.
-      e.pkt.uid = 0;
-      sims_[s]->deliver_at(e.when, e.peer, e.pkt);
+    if (mb->size() > st.mailbox_peak) st.mailbox_peak = mb->size();
+    for (const Mailbox::Entry& e : mb->entries()) {
+      // NaN clamps too, as in the kernel.
+      const SimTime due = e.when >= now ? e.when : now;
+      in.batch.push_back(
+          Arrival{due, static_cast<std::uint32_t>(in.batch.size()), &e});
     }
-    st.drained += batch.size();
+  }
+  if (in.batch.empty()) return;
+  // The tie-break contract is (time, src shard, mailbox seq): what the
+  // kernel's (time, seq) order gives if the batch is scheduled entry
+  // by entry, entry i taking sequence number S + i. Sorting the batch
+  // by (due, i) — a stable sort by time — and reserving the keys in
+  // that order hands out the same S..S+n-1, ranking the entries among
+  // themselves as before. Any other event's sequence number lies
+  // outside that range, so it compares with each entry as before too.
+  // Every entry thus keeps its place in the shard's total order, and
+  // the keys ascend, so the whole batch joins one lane behind a single
+  // heap entry (an entry ordering before an earlier batch's leftovers
+  // in the lane takes the heap).
+  std::sort(in.batch.begin(), in.batch.end(),
+            [](const Arrival& a, const Arrival& b) {
+              return a.due != b.due ? a.due < b.due : a.rank < b.rank;
+            });
+  in.lane = sim.lane(kInboxDelay, in.lane);
+  for (const Arrival& a : in.batch) {
+    // The uid belongs to the exporting shard's checker (terminated
+    // there as "exported"); clear it so this shard's checker adopts
+    // the packet as a fresh injection instead of colliding with a
+    // live local uid. uids are checker-only state, never simulation
+    // state, so this cannot affect results.
+    sim::Packet pkt = a.entry->pkt;
+    pkt.uid = 0;
+    auto arrive = [peer = a.entry->peer, pkt] { peer->receive(pkt); };
+    static_assert(sim::EventClosure::kFitsInline<decltype(arrive)>);
+    sim.lane_at(in.lane, sim.reserve_key(a.entry->when), std::move(arrive));
+  }
+  in.batch.clear();
+  for (std::size_t src = 0; src < shards_; ++src) {
+    Mailbox* mb = src == s ? nullptr : net_.mailbox(src, s);
+    if (mb == nullptr) continue;
+    st.drained += mb->size();
     mb->clear();
   }
 }

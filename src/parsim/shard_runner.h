@@ -5,11 +5,12 @@
 // when shards == 1), each driving its own sim::Simulator. Execution
 // proceeds in rounds of two barriers:
 //
-//   1. drain:   each shard imports its inbound mailboxes — walking
-//               source shards in ascending order, entries in FIFO
-//               order, so same-timestamp arrivals from different shards
-//               tie-break deterministically by (time, src shard, seq) —
-//               then publishes its next-event time.
+//   1. drain:   each shard imports its inbound mailboxes — one batch,
+//               source shards ascending and entries in FIFO order,
+//               stably sorted by arrival time and scheduled through one
+//               kernel lane, so same-timestamp arrivals from different
+//               shards tie-break deterministically by (time, src shard,
+//               seq) — then publishes its next-event time.
 //   2. window:  a barrier completion computes T_min = min over shards
 //               of the next-event times and opens the safe window
 //               [T_min, T_min + L), where L is the minimum propagation
@@ -168,6 +169,21 @@ class ShardRunner {
   /// A finite-target command has issued its inclusive run_until pass
   /// (which advances every shard clock to the target exactly once).
   bool clock_synced_ = false;
+
+  // Mailbox import state, one per shard, touched only by the shard's
+  // own worker (cache-line aligned so neighbours do not share a line):
+  // the batch being sorted, reused across rounds, and the memoized
+  // lane it is scheduled through.
+  struct Arrival {
+    SimTime due;          ///< arrival time, clamped to the shard clock
+    std::uint32_t rank;   ///< position in the batch as drained
+    const Mailbox::Entry* entry;
+  };
+  struct alignas(64) Inbox {
+    std::vector<Arrival> batch;
+    sim::Simulator::LaneId lane = sim::Simulator::kNoLane;
+  };
+  std::vector<Inbox> inboxes_;
 
   ShardRunnerTelemetry telemetry_;
   std::vector<std::unique_ptr<check::Checker>> checkers_;

@@ -1,30 +1,12 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
-#include "sim/node.h"
 #include "sim/port.h"
 
 namespace dtdctcp::sim {
-
-void EventClosure::invoke() {
-  switch (kind_) {
-    case Kind::kEmpty:
-      break;
-    case Kind::kInline:
-    case Kind::kHeap:
-      ops_->invoke(buf_);
-      break;
-    case Kind::kDeliver: {
-      auto* d = std::launder(reinterpret_cast<DeliverPayload*>(buf_));
-      d->peer->receive(std::move(d->pkt));
-      break;
-    }
-  }
-}
 
 void EventClosure::tx_trampoline(void* payload) {
   (*std::launder(reinterpret_cast<Port**>(payload)))->on_transmit_complete();
@@ -100,108 +82,6 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Simulator::flush_pending() {
-  // Merging the unsorted pending buffer lazily yields the same pop
-  // sequence as immediate insertion: (time, seq) is a strict total
-  // order, so the drain order is fixed no matter how the queue stores
-  // its entries.
-  const std::size_t n = heap_.size();
-  const std::size_t p = pending_.size();
-  if (p <= 8 || p * 8 <= n) {
-    // Few new events (the steady state of a running simulation):
-    // ordinary heap pushes.
-    for (const HeapEntry& e : pending_) {
-      const auto pos = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(e);
-      sift_up_plain(pos);
-    }
-    pending_.clear();
-    return;
-  }
-  if (n * 8 > p) {
-    // Large batch into a large heap: append and rebuild bottom-up
-    // (Floyd), which is O(n) and streams memory instead of paying a
-    // random-access sift per element.
-    heap_.insert(heap_.end(), pending_.begin(), pending_.end());
-    pending_.clear();
-    heapify();
-    return;
-  }
-  // Large batch while the heap is (near-)empty — the "schedule the
-  // whole experiment, then run" shape. Sort once and drain by cursor;
-  // the few heap entries ride along as an overlay.
-  sort_pending();
-  if (sorted_drained()) {
-    sorted_.clear();
-    sorted_.swap(pending_);
-    cursor_ = 0;
-  } else {
-    // A sorted run is still draining: merge the two ascending runs.
-    std::vector<HeapEntry> merged;
-    merged.reserve(sorted_.size() - cursor_ + p);
-    std::merge(sorted_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-               sorted_.end(), pending_.begin(), pending_.end(),
-               std::back_inserter(merged), earlier<HeapEntry, HeapEntry>);
-    sorted_.swap(merged);
-    cursor_ = 0;
-    pending_.clear();
-  }
-}
-
-// Stable LSD radix sort of pending_ on the raw time bits. Two facts
-// make this both exact and fast: (1) the buffer is appended in
-// insertion-sequence order, so a *stable* sort by time alone produces
-// exact (time, seq) order — no tie-break compares, and no wraparound
-// caveat on this path; (2) simulation times are non-negative doubles
-// (clamp_time pins negatives and normalises -0.0), whose IEEE-754 bit
-// patterns order identically to their values, so byte-wise counting
-// passes sort them like integers. Bytes that never differ across the
-// batch are skipped — setup bursts span narrow time ranges, so
-// typically only two or three of the eight passes run.
-void Simulator::sort_pending() {
-  const std::size_t n = pending_.size();
-  std::uint64_t all_or = 0;
-  std::uint64_t all_and = ~std::uint64_t{0};
-  for (const HeapEntry& e : pending_) {
-    const auto bits = std::bit_cast<std::uint64_t>(e.time);
-    all_or |= bits;
-    all_and &= bits;
-  }
-  const std::uint64_t diff = all_or ^ all_and;
-  if (diff == 0) return;  // all times equal: already in (time, seq) order
-  scratch_.resize(n);
-  std::vector<HeapEntry>* src = &pending_;
-  std::vector<HeapEntry>* dst = &scratch_;
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    if (((diff >> shift) & 0xff) == 0) continue;
-    std::size_t count[256] = {};
-    for (const HeapEntry& e : *src) {
-      ++count[(std::bit_cast<std::uint64_t>(e.time) >> shift) & 0xff];
-    }
-    std::size_t pos[256];
-    std::size_t total = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      pos[b] = total;
-      total += count[b];
-    }
-    for (const HeapEntry& e : *src) {
-      (*dst)[pos[(std::bit_cast<std::uint64_t>(e.time) >> shift) & 0xff]++] =
-          e;
-    }
-    std::swap(src, dst);
-  }
-  if (src != &pending_) pending_.swap(scratch_);
-}
-
-void Simulator::heapify() {
-  const auto n = static_cast<std::uint32_t>(heap_.size());
-  if (n < 2) return;
-  for (std::uint32_t i = (n - 2) >> 2; ; --i) {
-    sift_down_plain(i);
-    if (i == 0) break;
-  }
-}
-
 // Plain events never touch the arena while sifting.
 void Simulator::sift_up_plain(std::uint32_t pos) {
   heap_sift_up(heap_, pos, earlier<HeapEntry, HeapEntry>,
@@ -213,9 +93,6 @@ void Simulator::sift_down_plain(std::uint32_t pos) {
                  [this](const HeapEntry& e, std::uint32_t p) { heap_[p] = e; });
 }
 
-// A key reserved earlier may be older than the pending buffer's seqs,
-// so it goes straight into the heap (the buffer stays in seq order for
-// its stable sort).
 void Simulator::push_plain(const HeapEntry& e) {
   heap_.push_back(e);
   sift_up_plain(static_cast<std::uint32_t>(heap_.size() - 1));
@@ -396,25 +273,14 @@ void Simulator::run_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-// Flushes the pending buffer and settles the timer heap, then names the
-// queue whose head is the earliest event.
+// Settles the timer heap, then names the heap whose top is the earliest
+// event.
 Simulator::Next Simulator::next_source() {
-  if (!pending_.empty()) flush_pending();
   Next next{Source::kNone, std::numeric_limits<SimTime>::infinity()};
-  const HeapEntry* plain = nullptr;
-  if (!heap_.empty()) {
-    plain = &heap_.front();
-    next.src = Source::kHeap;
-  }
-  if (cursor_ < sorted_.size() &&
-      (plain == nullptr || earlier(sorted_[cursor_], *plain))) {
-    plain = &sorted_[cursor_];
-    next.src = Source::kSorted;
-  }
-  if (plain != nullptr) next.time = plain->time;
+  if (!heap_.empty()) next = Next{Source::kHeap, heap_.front().time};
   if (!timers_.empty()) {
     settle_timer_top();
-    if (plain == nullptr || earlier(timers_.front(), *plain)) {
+    if (heap_.empty() || earlier(timers_.front(), heap_.front())) {
       next = Next{Source::kTimer, timers_.front().time};
     }
   }
@@ -425,20 +291,6 @@ void Simulator::step(Source src) {
   switch (src) {
     case Source::kNone:
       return;
-    case Source::kSorted: {
-      const HeapEntry e = sorted_[cursor_++];
-      if (cursor_ < sorted_.size()) {
-        // The drain order is known ahead of time; pull the next arena
-        // payload toward the cache while this event runs.
-        const std::uint32_t nx = sorted_[cursor_].slot;
-        if (nx != kInlineSlot) __builtin_prefetch(&slot_ref(nx));
-      } else {
-        sorted_.clear();
-        cursor_ = 0;
-      }
-      fire(e);
-      return;
-    }
     case Source::kHeap: {
       const HeapEntry top = heap_.front();
       if (top.slot >= kLaneSlot) {
@@ -501,10 +353,7 @@ SimTime Simulator::retire_deferred(Key bound) {
 }
 
 bool Simulator::empty() const {
-  if (!heap_.empty() || !timers_.empty() || !pending_.empty() ||
-      cursor_ != sorted_.size()) {
-    return false;
-  }
+  if (!heap_.empty() || !timers_.empty()) return false;
   for (const std::uint32_t id : watched_) {
     if (!passed(deferred_[id].key)) return false;
   }

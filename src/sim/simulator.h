@@ -5,13 +5,11 @@
 // pipelines deterministic. Because that order is a *total* order, the
 // kernel is free to organise its queue however it likes — every valid
 // arrangement pops in exactly the same sequence. It exploits that
-// freedom in five ways:
+// freedom in four ways:
 //
-//   * Plain (non-cancellable) events are appended to an unsorted
-//     pending buffer in O(1) and bulk-merged into a 4-ary heap of
-//     32-byte entries only when the run loop next needs the minimum.
-//   * Cancellable timers live in a second 4-ary heap of 16-byte
-//     entries. `reschedule` moves a live timer in place; a later
+//   * Cancellable timers live in their own 4-ary heap of 16-byte
+//     entries, apart from the 4-ary heap of 32-byte entries that holds
+//     plain events. `reschedule` moves a live timer in place; a later
 //     deadline only records the new key in the timer's slot, and the
 //     stale heap entry is re-keyed when it reaches the top. A timer
 //     restarted on every ACK therefore costs no sift per restart.
@@ -25,7 +23,9 @@
 //     An event joins a lane only if it orders after the lane's back;
 //     otherwise (a release inserted late, a full lane table) it takes
 //     the heap like any event. Lanes are capped (kMaxLanes); a new
-//     delay takes over an empty lane once the cap is reached.
+//     delay takes over an empty lane once the cap is reached. Any
+//     caller with keys in ascending order can use a lane; parsim feeds
+//     each shard's mailbox imports through one.
 //   * A key can be reserved without scheduling anything (reserve_key).
 //     A Port reserves the key of each transmitter release and inserts
 //     it only if a packet queues behind the transmission; a release
@@ -35,9 +35,9 @@
 //     parsim windows are unchanged. Every event that does run keeps the
 //     key it always had; only events_processed() falls.
 //   * Payloads live out-of-line in a chunked, recycled slot arena with
-//     stable addresses, or inside the queue entry when they are one
-//     pointer, so the steady-state hot path performs no heap
-//     allocation and payloads never move once placed.
+//     stable addresses (the transmitter release, one Port pointer,
+//     rides in the queue entry instead), so the steady-state hot path
+//     performs no heap allocation and payloads never move once placed.
 #pragma once
 
 #include <cassert>
@@ -57,7 +57,6 @@
 
 namespace dtdctcp::sim {
 
-class Node;
 class Port;
 class Simulator;
 
@@ -78,11 +77,6 @@ struct TimerHandle {
 /// so per-hop events never allocate. Larger captures fall back to the
 /// heap — acceptable for setup/teardown closures, never for per-packet
 /// ones (hot call sites static_assert `kFitsInline`).
-///
-/// A cross-shard arrival (parsim's `deliver_at`) is additionally stored
-/// as a *typed* payload — a tag plus raw fields — so the kernel
-/// dispatches it with a switch instead of an indirect call through an
-/// erased function pointer.
 class EventClosure {
  public:
   static constexpr std::size_t kInlineBytes = sizeof(void*) + sizeof(Packet);
@@ -118,24 +112,15 @@ class EventClosure {
   template <typename F>
   void emplace(F&& fn) {
     using D = std::decay_t<F>;
-    assert(kind_ == Kind::kEmpty);
+    assert(ops_ == nullptr);
     if constexpr (kFitsInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
       ops_ = &InlineOps<D>::kOps;
-      kind_ = Kind::kInline;
     } else {
       D* p = new D(std::forward<F>(fn));
       std::memcpy(buf_, &p, sizeof p);
       ops_ = &HeapOps<D>::kOps;
-      kind_ = Kind::kHeap;
     }
-  }
-
-  /// Typed fast-path payload (no type erasure; see Simulator).
-  void set_deliver(Node* peer, Packet&& pkt) {
-    assert(kind_ == Kind::kEmpty);
-    ::new (static_cast<void*>(buf_)) DeliverPayload{peer, std::move(pkt)};
-    kind_ = Kind::kDeliver;
   }
 
   /// In-entry trampoline for the transmitter-release event (it lives
@@ -143,38 +128,24 @@ class EventClosure {
   static void tx_trampoline(void* payload);
 
   void reset() {
-    if (kind_ == Kind::kInline || kind_ == Kind::kHeap) {
-      // Trivially-destructible inline captures register a null destroy
-      // hook; skipping the indirect call keeps slot recycling cheap.
-      if (ops_->destroy != nullptr) ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-    kind_ = Kind::kEmpty;
+    // Trivially-destructible inline captures register a null destroy
+    // hook; skipping the indirect call keeps slot recycling cheap.
+    if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(buf_);
+    ops_ = nullptr;
   }
 
-  explicit operator bool() const { return kind_ != Kind::kEmpty; }
+  explicit operator bool() const { return ops_ != nullptr; }
 
-  /// Runs the payload (it stays constructed; callers reset() after).
-  /// Defined in simulator.cc — the typed cases need Node/Port.
-  void invoke();
+  /// Runs the callable (it stays constructed; callers reset() after).
+  void invoke() {
+    if (ops_ != nullptr) ops_->invoke(buf_);
+  }
 
  private:
-  enum class Kind : std::uint8_t {
-    kEmpty,
-    kInline,   ///< callable constructed in buf_
-    kHeap,     ///< buf_ holds a pointer to a heap-allocated callable
-    kDeliver,  ///< typed: peer->receive(pkt)
-  };
-
   struct Ops {
     void (*invoke)(void* buf);
     void (*relocate)(void* src, void* dst) noexcept;  // move-construct + destroy src
     void (*destroy)(void* buf) noexcept;              // null when trivial
-  };
-
-  struct DeliverPayload {
-    Node* peer;
-    Packet pkt;
   };
 
   template <typename D>
@@ -206,33 +177,15 @@ class EventClosure {
   };
 
   void move_from(EventClosure& other) noexcept {
-    kind_ = other.kind_;
     ops_ = other.ops_;
-    switch (other.kind_) {
-      case Kind::kEmpty:
-        break;
-      case Kind::kInline:
-        ops_->relocate(other.buf_, buf_);
-        break;
-      case Kind::kHeap:
-        std::memcpy(buf_, other.buf_, sizeof(void*));
-        break;
-      case Kind::kDeliver:
-        std::memcpy(buf_, other.buf_, sizeof(DeliverPayload));
-        break;
-    }
-    other.kind_ = Kind::kEmpty;
+    if (ops_ != nullptr) ops_->relocate(other.buf_, buf_);
     other.ops_ = nullptr;
   }
 
   // Dispatch header first: for small captures the header and the capture
   // share a cache line, so firing + recycling touches one line per slot.
   const Ops* ops_ = nullptr;
-  Kind kind_ = Kind::kEmpty;
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-
-  static_assert(std::is_trivially_copyable_v<Packet>,
-                "typed payloads are relocated with memcpy");
 };
 
 static_assert(sizeof(Packet) + sizeof(void*) <= EventClosure::kInlineBytes,
@@ -255,10 +208,6 @@ class Simulator {
         in_loop_(other.in_loop_),
         heap_(std::move(other.heap_)),
         timers_(std::move(other.timers_)),
-        pending_(std::move(other.pending_)),
-        sorted_(std::move(other.sorted_)),
-        cursor_(other.cursor_),
-        scratch_(std::move(other.scratch_)),
         chunks_(std::move(other.chunks_)),
         slot_count_(other.slot_count_),
         free_head_(other.free_head_),
@@ -268,7 +217,6 @@ class Simulator {
     // The source must not destroy the slots it no longer owns.
     other.slot_count_ = 0;
     other.free_head_ = TimerHandle::kInvalid;
-    other.cursor_ = 0;
   }
   Simulator& operator=(Simulator&& other) noexcept {
     if (this != &other) {
@@ -288,15 +236,7 @@ class Simulator {
   /// `past_schedule_clamps`).
   template <typename F>
   void at(SimTime t, F&& fn) {
-    using D = std::decay_t<F>;
-    if constexpr (kFitsEntry<D>) {
-      pending_.push_back(
-          make_inline_entry<D>(clamp_time(t), std::forward<F>(fn)));
-    } else {
-      const std::uint32_t slot = acquire_slot();
-      slot_ref(slot).fn.emplace(std::forward<F>(fn));
-      defer_entry(t, slot);
-    }
+    lane_at(kNoLane, reserve_key(t), std::forward<F>(fn));
   }
 
   /// Schedules `fn` after a delay of `dt` seconds (dt >= 0).
@@ -332,16 +272,6 @@ class Simulator {
   /// the handle) if the timer already fired or was cancelled; the
   /// caller then schedules a new one.
   bool reschedule(TimerHandle& h, SimTime t);
-
-  /// Typed fast path at an absolute time: how cross-shard arrivals enter
-  /// a shard's queue (parsim mailbox drain). The timestamp was computed
-  /// on the sending shard; conservative lookahead guarantees it is never
-  /// in this shard's past, but clamp_time still applies as a backstop.
-  void deliver_at(SimTime t, Node* peer, Packet pkt) {
-    const std::uint32_t slot = acquire_slot();
-    slot_ref(slot).fn.set_deliver(peer, std::move(pkt));
-    defer_entry(t, slot);
-  }
 
   /// An event key: fire order is (time, seq), seq compared with
   /// wraparound.
@@ -438,8 +368,8 @@ class Simulator {
   /// queue is empty; deferred keys (see defer) count as pending until
   /// passed. This is the horizon query of the conservative parallel
   /// executor (parsim): the global safe window is [min over shards of
-  /// next_event_time(), +lookahead). Flushes the unsorted pending
-  /// buffer and forgets passed deferred keys, so it is not const.
+  /// next_event_time(), +lookahead). Re-keys a stale timer top and
+  /// forgets passed deferred keys, so it is not const.
   SimTime next_event_time();
 
   /// Runs events with time strictly < `end` (the half-open safe window
@@ -465,10 +395,7 @@ class Simulator {
   /// deferred keys are not counted).
   /// Cancelled timers are removed eagerly and a rescheduled timer keeps
   /// its entry, so a flow that restarts its RTO holds exactly one.
-  std::size_t queue_size() const {
-    return heap_.size() + timers_.size() + pending_.size() +
-           (sorted_.size() - cursor_);
-  }
+  std::size_t queue_size() const { return heap_.size() + timers_.size(); }
 
   /// Events pending, every lane event counted (deferred keys are not).
   std::size_t pending_events() const {
@@ -492,10 +419,9 @@ class Simulator {
   // (real queues are orders of magnitude smaller).
   //
   // `slot` selects the payload's home: an arena slot id, or the
-  // kInlineSlot sentinel meaning the payload lives *in the entry*:
-  // `fn` is a plain function pointer and `payload` holds a small
-  // trivially-copyable capture. In-entry events bypass the arena
-  // entirely on both the schedule and the fire path. A lane's head entry
+  // kInlineSlot sentinel meaning the payload lives *in the entry*: `fn`
+  // is a plain function pointer and `payload` holds one Port pointer
+  // (the transmitter release, see port_entry). A lane's head entry
   // carries kLaneSlot + the lane's index and no payload: the event
   // itself waits at the front of the lane.
   struct HeapEntry {
@@ -520,13 +446,6 @@ class Simulator {
   };
   static_assert(sizeof(TimerEntry) == 16);
 
-  /// Captures storable directly in a queue entry. Trivial copyability
-  /// is required because entries relocate by memcpy during sorting and
-  /// sifting.
-  template <typename D>
-  static constexpr bool kFitsEntry =
-      sizeof(D) <= sizeof(HeapEntry::payload) && alignof(D) <= 8 &&
-      std::is_trivially_copyable_v<D>;
   struct Slot {
     EventClosure fn;
     std::uint32_t gen = 0;
@@ -550,7 +469,7 @@ class Simulator {
 
   /// Which queue holds the earliest event, and its time (+infinity
   /// when the kernel is empty); see next_source.
-  enum class Source : std::uint8_t { kNone, kHeap, kSorted, kTimer };
+  enum class Source : std::uint8_t { kNone, kHeap, kTimer };
   struct Next {
     Source src;
     SimTime time;
@@ -575,34 +494,9 @@ class Simulator {
       t = now_;
       ++past_clamps_;
     }
-    // Normalise -0.0 to +0.0 so the bit pattern of a stored time orders
-    // like its value (see sort_pending); exact for every other input.
+    // Normalise -0.0 to +0.0 so now() never reads a negative zero;
+    // exact for every other input.
     return t + 0.0;
-  }
-
-  /// O(1) append for non-cancellable arena events; flush_pending()
-  /// merges the buffer into the queue before the run loop next needs
-  /// the minimum.
-  void defer_entry(SimTime t, std::uint32_t slot) {
-    HeapEntry e;
-    e.time = clamp_time(t);
-    e.seq = next_seq_++;
-    e.slot = slot;
-    pending_.push_back(e);
-  }
-
-  /// Builds an in-entry event: the capture is constructed directly in
-  /// the entry's payload bytes and dispatched through a plain function
-  /// pointer, bypassing the arena on both schedule and fire.
-  template <typename D, typename F>
-  HeapEntry make_inline_entry(SimTime t, F&& fn) {
-    HeapEntry e;
-    e.time = t;
-    e.seq = next_seq_++;
-    e.slot = kInlineSlot;
-    e.fn = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
-    ::new (static_cast<void*>(e.payload)) D(std::forward<F>(fn));
-    return e;
   }
 
   /// An in-entry event whose payload is one Port pointer.
@@ -623,9 +517,6 @@ class Simulator {
   HeapEntry take_lane_head(std::uint32_t lane);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void flush_pending();
-  void sort_pending();
-  void heapify();
   void sift_up_plain(std::uint32_t pos);
   void sift_down_plain(std::uint32_t pos);
   void push_timer(TimerEntry e);
@@ -636,7 +527,6 @@ class Simulator {
   bool live(const TimerHandle& h) {
     return h.slot < slot_count_ && slot_ref(h.slot).gen == h.gen;
   }
-  bool sorted_drained() const { return cursor_ == sorted_.size(); }
   Next next_source();
   Key passed_bound() const {
     return in_loop_ ? Key{now_, cur_seq_} : passed_;
@@ -661,16 +551,6 @@ class Simulator {
   bool in_loop_ = false;
   std::vector<HeapEntry> heap_;     ///< plain events
   std::vector<TimerEntry> timers_;  ///< cancellable timers
-  std::vector<HeapEntry> pending_;
-  // Sorted-run fast path: a large pending batch arriving while the heap
-  // is (near-)empty — the "schedule everything, then run" shape of
-  // experiment setup — is sorted ascending once and drained by cursor.
-  // Sequential drain makes the *next* event known ahead of time, so its
-  // payload slot can be prefetched; a heap only learns its next minimum
-  // after the sift completes.
-  std::vector<HeapEntry> sorted_;
-  std::size_t cursor_ = 0;
-  std::vector<HeapEntry> scratch_;  ///< radix-sort double buffer, reused
   // Payload arena: fixed-size chunks of raw storage. Slots have stable
   // addresses (events run in place), growth never relocates pending
   // payloads, and a fresh chunk costs one allocation — slots are

@@ -246,8 +246,7 @@ class Script {
 
   std::vector<Record> run(int budget) {
     budget_ = budget;
-    // Setup burst at time zero, large enough for the kernel's
-    // sorted-run path, plus a few timers.
+    // Setup burst at time zero, plus a few timers.
     for (int i = 0; i < 40; ++i) schedule_plain();
     for (int i = 0; i < 10; ++i) new_timer();
     for (int round = 0;
@@ -306,7 +305,9 @@ class Script {
   static constexpr int kLaneSources = 3;
   static constexpr SimTime kLaneDelays[] = {0.25, 0.5, 1.0, 1.5};
   static constexpr int kLaneDelayCount = 4;
-  // A one-pointer capture: the kernel stores it inside the queue entry.
+  // The burst lane's key: a delay no other source uses.
+  static constexpr SimTime kBurstDelay = -1.0;
+  // A one-pointer capture, the smallest an arena slot holds.
   struct Rec {
     Script* owner;
     long id;
@@ -416,6 +417,31 @@ class Script {
     }
   }
 
+  // A sorted burst through one lane, as parsim schedules a mailbox
+  // batch: times ascend within the burst, but an earlier burst's
+  // leftovers in the lane, a few keys drawn out of order, and past
+  // times (clamped) make some keys order before the lane's back, so
+  // they take the heap.
+  void schedule_burst() {
+    SimTime times[24];
+    for (SimTime& t : times) t = sim_.now() + delay();
+    std::sort(std::begin(times), std::end(times));
+    for (SimTime& t : times) {
+      if (pick(6) == 0) t = sim_.now() + delay();
+    }
+    for (const SimTime t : times) {
+      if (!spend()) return;
+      const long id = next_id_++;
+      if constexpr (kKernel) {
+        burst_hint_ = sim_.lane(kBurstDelay, burst_hint_);
+        sim_.lane_at(burst_hint_, sim_.reserve_key(t),
+                     [this, id] { on_fire(id); });
+      } else {
+        sim_.at(t, [this, id] { on_fire(id); });
+      }
+    }
+  }
+
   bool spend() {
     if (budget_ <= 0) return false;
     --budget_;
@@ -487,8 +513,8 @@ class Script {
           note(kCancel, sim_.cancel(t.h) ? 1 : 0, sim_.now());
           break;
         }
-        case 7:  // a burst through the kernel's batch merge paths
-          for (int i = 0; i < 30; ++i) schedule_plain();
+        case 7:
+          schedule_burst();
           break;
         case 8:
           reserve();
@@ -538,6 +564,7 @@ class Script {
   // Zero to start: hints lane() has not given, which it must check.
   sim::Simulator::LaneId hints_[kLaneSources][kLaneDelayCount] = {};
   sim::Simulator::LaneId wide_hints_[kLaneSources] = {};
+  sim::Simulator::LaneId burst_hint_ = 0;
   std::size_t max_lanes_ = 0;
   std::deque<Rec> recs_;
   std::vector<Record> log_;

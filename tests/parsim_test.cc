@@ -4,10 +4,13 @@
 // cross-shard conservation ledger, and the dumbbell parsim path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/dumbbell.h"
@@ -329,6 +332,107 @@ TEST(ShardRunnerMetrics, RunUntilAdvancesEveryShardClockExactly) {
   // event replay.
   EXPECT_EQ(sharded.shard_sim(0).past_schedule_clamps(), 0u);
   EXPECT_EQ(sharded.shard_sim(1).past_schedule_clamps(), 0u);
+}
+
+// ---- Mailbox drain order --------------------------------------------------
+
+// Records the order and time at which imported packets reach it; the
+// packet's seq field carries the test's entry id.
+class ArrivalLog : public sim::Node {
+ public:
+  explicit ArrivalLog(sim::Simulator& sim) : Node(9999, "log"), sim_(sim) {}
+  void receive(sim::Packet pkt) override {
+    ids.push_back(pkt.seq);
+    times.push_back(sim_.now());
+  }
+  std::vector<std::int64_t> ids;
+  std::vector<SimTime> times;
+
+ private:
+  sim::Simulator& sim_;
+};
+
+TEST(MailboxDrain, FiresInTimeSrcShardMailboxSeqOrder) {
+  // Three racks, one per shard: the spine sits in shard 0, so shards 1
+  // and 2 both feed shard 0. Entries are pushed straight into their
+  // mailboxes and land on a recording node in shard 0.
+  sim::LeafSpineConfig cfg;
+  cfg.spines = 1;
+  cfg.leaves = 3;
+  cfg.hosts_per_leaf = 1;
+  cfg.fabric_link_delay = 1e-6;
+  sim::LeafSpine fabric =
+      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  ShardedNetwork sharded(*fabric.net, leaf_spine_partition(fabric, cfg, 3));
+  ASSERT_EQ(sharded.shards(), 3u);
+  Mailbox* from1 = sharded.mailbox(1, 0);
+  Mailbox* from2 = sharded.mailbox(2, 0);
+  ASSERT_NE(from1, nullptr);
+  ASSERT_NE(from2, nullptr);
+  sim::Simulator& dst = sharded.shard_sim(0);
+  ArrivalLog log(dst);
+  ShardRunnerOptions opts;
+  opts.check = ShardRunnerOptions::Check::kOff;  // packets come from nowhere
+  ShardRunner runner(sharded, opts);
+
+  struct Sent {
+    std::int64_t id;
+    SimTime due;  ///< arrival time clamped to the shard clock at the drain
+    int batch;
+    int src;
+    std::size_t mailbox_seq;
+  };
+  std::vector<Sent> sent;
+  std::size_t pushed[3] = {};
+  const auto push = [&](int batch, int src, SimTime when, SimTime clock) {
+    sim::Packet pkt;
+    pkt.seq = static_cast<std::int64_t>(sent.size());
+    (src == 1 ? from1 : from2)->push(when, &log, pkt);
+    sent.push_back(Sent{pkt.seq, when < clock ? clock : when, batch, src,
+                        pushed[src]++});
+  };
+
+  // Batch A, drained with the shard clock at 10 us: each source pushes
+  // out of time order with many equal times, both sources share times,
+  // and one entry from shard 2 lies in the shard's past. It ties, once
+  // clamped, with shard 1's entries at exactly 10 us, which must fire
+  // first.
+  const SimTime t1 = 10e-6;
+  runner.run_until(t1);
+  ASSERT_EQ(dst.now(), t1);
+  const SimTime a_times[] = {14e-6, 12e-6, 30e-6, 10e-6, 16e-6, 40e-6};
+  for (int i = 0; i < 40; ++i) {
+    push(0, 1, a_times[(7 * i) % 6], t1);
+    push(0, 2, a_times[(5 * i + 1) % 6], t1);
+    if (i == 20) push(0, 2, 9e-6, t1);
+  }
+  // Runs the batch up to 15 us: the entries at 16, 30 and 40 us are
+  // left in the shard.
+  const SimTime t2 = 15e-6;
+  runner.run_until(t2);
+  ASSERT_EQ(dst.now(), t2);
+
+  // Batch B overlaps those leftovers: its entries order before them in
+  // time, or tie with them (the leftovers, drained first, fire first).
+  const SimTime b_times[] = {30e-6, 16e-6, 20e-6, 15e-6, 30e-6};
+  for (int i = 0; i < 12; ++i) {
+    push(1, 2, b_times[i % 5], t2);
+    push(1, 1, b_times[(3 * i + 2) % 5], t2);
+  }
+  runner.run();
+  EXPECT_TRUE(runner.finalize());
+
+  std::vector<Sent> want = sent;
+  std::sort(want.begin(), want.end(), [](const Sent& a, const Sent& b) {
+    return std::tie(a.due, a.batch, a.src, a.mailbox_seq) <
+           std::tie(b.due, b.batch, b.src, b.mailbox_seq);
+  });
+  ASSERT_EQ(log.ids.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(log.ids[k], want[k].id) << "first divergence at arrival " << k;
+    ASSERT_EQ(log.times[k], want[k].due) << "arrival " << k;
+  }
+  EXPECT_EQ(dst.past_schedule_clamps(), 1u);
 }
 
 // ---- Dumbbell through the parsim path (fig10/fig11 scenarios) -------------

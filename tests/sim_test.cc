@@ -254,11 +254,11 @@ TEST(Simulator, OnTimeSchedulesAreNotCountedAsClamps) {
   EXPECT_EQ(s.past_schedule_clamps(), 0u);
 }
 
-// --- (time, seq) determinism across internal queue shapes -------------
+// --- (time, seq) determinism through the plain-event heap --------------
 
 TEST(Simulator, LargeBatchPopsInTimeThenScheduleOrder) {
-  // A large up-front batch takes the kernel's sorted-run path; ties on
-  // time must still resolve by insertion order.
+  // A large up-front batch, all in the plain-event heap; ties on time
+  // must still resolve by insertion order.
   sim::Simulator s;
   std::vector<std::pair<double, int>> expect;
   std::vector<int> order;
@@ -278,8 +278,8 @@ TEST(Simulator, LargeBatchPopsInTimeThenScheduleOrder) {
 }
 
 TEST(Simulator, SmallCapturesKeepOrderToo) {
-  // Captures of at most one pointer ride inside the queue entry itself
-  // (no arena slot); the in-entry path must obey the same total order.
+  // Captures of one pointer take an arena slot like any other closure
+  // and must obey the same total order.
   struct Cell {
     std::vector<int>* order;
     int id;
@@ -306,9 +306,9 @@ TEST(Simulator, SmallCapturesKeepOrderToo) {
   }
 }
 
-TEST(Simulator, SchedulingDuringSortedDrainMergesInOrder) {
+TEST(Simulator, SchedulingDuringALargeDrainStaysInOrder) {
   // A second large batch arriving while the first is still draining
-  // exercises the merge of a live sorted run with fresh events.
+  // must interleave with what is left of it.
   sim::Simulator s;
   std::vector<SimTime> times;
   for (int i = 0; i < 100; ++i) {
@@ -327,9 +327,8 @@ TEST(Simulator, SchedulingDuringSortedDrainMergesInOrder) {
 }
 
 TEST(Simulator, TimersInterleaveWithBatchedEventsInOrder) {
-  // Cancellable timers live in the heap while plain events may sit in
-  // the pending buffer or a sorted run; the pop order must interleave
-  // all three arrangements by (time, seq).
+  // Cancellable timers live in their own heap, apart from the plain
+  // events; the pop order must interleave the two by (time, seq).
   sim::Simulator s;
   std::vector<int> order;
   std::vector<std::pair<double, int>> expect;
