@@ -77,6 +77,43 @@ void BM_DeadTimerHeavyRun(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadTimerHeavyRun)->Arg(1000)->Arg(100000);
 
+// Steady churn through delay lanes, the way ports schedule: each event
+// schedules its successor at now + its lane's delay via lane_at, so the
+// pending set stays constant (kPerLane events in each lane) while the
+// lane heads keep passing each other. items_per_second is kernel events
+// per second; its inverse is the kernel's cost per lane event.
+void BM_LaneEvents(benchmark::State& state) {
+  constexpr int kPerLane = 4;
+  struct Chain {
+    sim::Simulator* s;
+    SimTime delay;
+    sim::Simulator::LaneId hint;
+    void hop() {
+      hint = s->lane(delay, hint);
+      s->lane_at(hint, s->reserve_key(s->now() + delay), [this] { hop(); });
+    }
+  };
+  const int lanes = static_cast<int>(state.range(0));
+  sim::Simulator s;
+  std::vector<Chain> chains;
+  for (int i = 0; i < lanes; ++i) {
+    // Delays 1..2 us, a few per lane in flight, staggered starts.
+    const SimTime d = 1e-6 * (1.0 + static_cast<double>(i) / lanes);
+    for (int k = 0; k < kPerLane; ++k) {
+      chains.push_back(Chain{&s, d, sim::Simulator::kNoLane});
+    }
+  }
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    s.at(1e-8 * static_cast<double>(c), [&chains, c] { chains[c].hop(); });
+  }
+  s.run_until(1e-5);  // every chain under way
+  const std::uint64_t before = s.events_processed();
+  for (auto _ : state) s.run_until(s.now() + 1e-5);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(s.events_processed() - before));
+}
+BENCHMARK(BM_LaneEvents)->Arg(1)->Arg(4)->Arg(16);
+
 void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   queue::DropTailQueue q(0, 0);
   sim::Packet p;

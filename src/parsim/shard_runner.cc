@@ -185,8 +185,8 @@ void ShardRunner::drain_inboxes(std::size_t s, ShardStats& st) {
   // outside that range, so it compares with each entry as before too.
   // Every entry thus keeps its place in the shard's total order, and
   // the keys ascend, so the whole batch joins one lane behind a single
-  // heap entry (an entry ordering before an earlier batch's leftovers
-  // in the lane takes the heap).
+  // lane head (an entry ordering before an earlier batch's leftovers
+  // in the lane takes the plain heap).
   std::sort(in.batch.begin(), in.batch.end(),
             [](const Arrival& a, const Arrival& b) {
               return a.due != b.due ? a.due < b.due : a.rank < b.rank;

@@ -99,8 +99,8 @@ void Simulator::push_plain(const HeapEntry& e) {
 }
 
 // Looks a delay up in the lane table. Once the table is full, a new
-// delay takes over an empty lane: it is in no heap entry, and the
-// callers' stale hints fail the delay check in lane().
+// delay takes over an empty lane: it has no head, and the callers'
+// stale hints fail the delay check in lane().
 Simulator::LaneId Simulator::find_lane(SimTime d) {
   if (std::isnan(d)) return kNoLane;  // would match no lane, ever
   LaneId spare = kNoLane;
@@ -119,14 +119,14 @@ Simulator::LaneId Simulator::find_lane(SimTime d) {
 }
 
 // The lane stays sorted: `e` joins it only behind an earlier key, and
-// an empty lane enters the heap with `e` as its head. Anything else is
-// an ordinary heap entry.
+// an empty lane gets a head with `e`'s key. Anything else is a plain
+// heap entry.
 void Simulator::push_keyed(LaneId lane, const HeapEntry& e) {
   if (lane < lanes_.size()) {
     util::RingBuffer<HeapEntry>& q = lanes_[lane].q;
     if (q.empty()) {
       q.push_back(e);
-      push_plain(HeapEntry{e.time, e.seq, kLaneSlot + lane, nullptr, {}});
+      insert_head(e.time, e.seq, lane);
       return;
     }
     if (earlier(q.back(), e)) {
@@ -137,21 +137,36 @@ void Simulator::push_keyed(LaneId lane, const HeapEntry& e) {
   push_plain(e);
 }
 
-// Pops the event at the front of a lane whose head entry is the heap's
-// top, and re-keys that entry in place to the lane's next event (or
-// removes it when the lane is drained).
-Simulator::HeapEntry Simulator::take_lane_head(std::uint32_t lane) {
+// A new head is at now + the lane's delay, so it usually belongs near
+// the back: scan from there.
+void Simulator::insert_head(SimTime time, std::uint32_t seq,
+                            std::uint32_t lane) {
+  const LaneHead h{time, seq, lane};
+  heads_.push_back(h);
+  std::size_t i = heads_.size() - 1;
+  for (; i > 0 && earlier(h, heads_[i - 1]); --i) heads_[i] = heads_[i - 1];
+  heads_[i] = h;
+}
+
+// Pops the event at the front of the earliest head's lane. The lane's
+// next key slides forward from the front to its place (the events of a
+// busy lane are close together, so the slide is short), or the head is
+// erased when the lane is drained.
+Simulator::HeapEntry Simulator::take_lane_head() {
+  const std::uint32_t lane = heads_.front().lane;
   util::RingBuffer<HeapEntry>& q = lanes_[lane].q;
   const HeapEntry e = q.front();
   q.pop_front();
   if (q.empty()) {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-  } else {
-    heap_.front().time = q.front().time;
-    heap_.front().seq = q.front().seq;
+    heads_.erase(heads_.begin());
+    return e;
   }
-  if (!heap_.empty()) sift_down_plain(0);
+  const LaneHead h{q.front().time, q.front().seq, lane};
+  std::size_t i = 1;
+  for (; i < heads_.size() && earlier(heads_[i], h); ++i) {
+    heads_[i - 1] = heads_[i];
+  }
+  heads_[i - 1] = h;
   return e;
 }
 
@@ -273,16 +288,20 @@ void Simulator::run_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-// Settles the timer heap, then names the heap whose top is the earliest
-// event.
+// Settles the timer heap, then names the queue whose front is the
+// earliest event.
 Simulator::Next Simulator::next_source() {
-  Next next{Source::kNone, std::numeric_limits<SimTime>::infinity()};
-  if (!heap_.empty()) next = Next{Source::kHeap, heap_.front().time};
+  Next next{Source::kNone, std::numeric_limits<SimTime>::infinity(), 0};
+  const auto consider = [&next](Source src, const auto& front) {
+    if (next.src == Source::kNone || earlier(front, next)) {
+      next = Next{src, front.time, front.seq};
+    }
+  };
+  if (!heap_.empty()) consider(Source::kHeap, heap_.front());
+  if (!heads_.empty()) consider(Source::kLane, heads_.front());
   if (!timers_.empty()) {
     settle_timer_top();
-    if (heap_.empty() || earlier(timers_.front(), heap_.front())) {
-      next = Next{Source::kTimer, timers_.front().time};
-    }
+    consider(Source::kTimer, timers_.front());
   }
   return next;
 }
@@ -293,16 +312,15 @@ void Simulator::step(Source src) {
       return;
     case Source::kHeap: {
       const HeapEntry top = heap_.front();
-      if (top.slot >= kLaneSlot) {
-        fire(take_lane_head(top.slot - kLaneSlot));
-        return;
-      }
       heap_.front() = heap_.back();
       heap_.pop_back();
       if (!heap_.empty()) sift_down_plain(0);
       fire(top);
       return;
     }
+    case Source::kLane:
+      fire(take_lane_head());
+      return;
     case Source::kTimer: {
       const TimerEntry top = timers_.front();
       remove_timer(0);
@@ -353,7 +371,7 @@ SimTime Simulator::retire_deferred(Key bound) {
 }
 
 bool Simulator::empty() const {
-  if (!heap_.empty() || !timers_.empty()) return false;
+  if (!heap_.empty() || !heads_.empty() || !timers_.empty()) return false;
   for (const std::uint32_t id : watched_) {
     if (!passed(deferred_[id].key)) return false;
   }

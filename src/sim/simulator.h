@@ -5,7 +5,8 @@
 // pipelines deterministic. Because that order is a *total* order, the
 // kernel is free to organise its queue however it likes — every valid
 // arrangement pops in exactly the same sequence. It exploits that
-// freedom in four ways:
+// freedom in four ways, and each run step fires the earliest of three
+// queue fronts (plain heap, lane heads, timer heap):
 //
 //   * Cancellable timers live in their own 4-ary heap of 16-byte
 //     entries, apart from the 4-ary heap of 32-byte entries that holds
@@ -19,10 +20,14 @@
 //     packet size). Floating-point addition is monotone and the clock
 //     never runs back, so for one fixed d the events arrive in exact
 //     (time, seq) order, from every port alike. A lane is a FIFO of
-//     such events, and the plain heap holds one entry for its head.
-//     An event joins a lane only if it orders after the lane's back;
-//     otherwise (a release inserted late, a full lane table) it takes
-//     the heap like any event. Lanes are capped (kMaxLanes); a new
+//     such events. The keys of the non-empty lanes' fronts sit in a
+//     small array sorted by (time, seq), apart from the plain heap: a
+//     lane that was empty inserts its head by a scan from the back,
+//     and when a head fires the lane's next key slides forward to its
+//     place. An event joins a lane only if it orders after the lane's
+//     back; otherwise (a release inserted late, a full lane table) it
+//     takes the plain heap like any event. Lanes are capped
+//     (kMaxLanes), so the head array stays a few cache lines; a new
 //     delay takes over an empty lane once the cap is reached. Any
 //     caller with keys in ascending order can use a lane; parsim feeds
 //     each shard's mailbox imports through one.
@@ -213,7 +218,8 @@ class Simulator {
         free_head_(other.free_head_),
         deferred_(std::move(other.deferred_)),
         watched_(std::move(other.watched_)),
-        lanes_(std::move(other.lanes_)) {
+        lanes_(std::move(other.lanes_)),
+        heads_(std::move(other.heads_)) {
     // The source must not destroy the slots it no longer owns.
     other.slot_count_ = 0;
     other.free_head_ = TimerHandle::kInvalid;
@@ -291,7 +297,7 @@ class Simulator {
   using LaneId = std::uint16_t;
   static constexpr LaneId kNoLane = 0xffff;
   /// Lane table bound: distinct delays beyond it share the lanes that
-  /// are empty, or fall back to the heap.
+  /// are empty, or fall back to the plain heap.
   static constexpr std::size_t kMaxLanes = 32;
 
   /// The lane for events scheduled at now() + `d`. `hint` is an earlier
@@ -306,7 +312,7 @@ class Simulator {
   /// Schedules `fn` (placed in the payload arena) at reserved key `k`
   /// through `lane` (any lane id, or kNoLane): appended if `k` orders
   /// after the lane's back, so the lane stays sorted, else queued in the
-  /// heap. Either way the event fires at `k`.
+  /// plain heap. Either way the event fires at `k`.
   template <typename F>
   void lane_at(LaneId lane, Key k, F&& fn) {
     const std::uint32_t slot = acquire_slot();
@@ -395,7 +401,9 @@ class Simulator {
   /// deferred keys are not counted).
   /// Cancelled timers are removed eagerly and a rescheduled timer keeps
   /// its entry, so a flow that restarts its RTO holds exactly one.
-  std::size_t queue_size() const { return heap_.size() + timers_.size(); }
+  std::size_t queue_size() const {
+    return heap_.size() + timers_.size() + heads_.size();
+  }
 
   /// Events pending, every lane event counted (deferred keys are not).
   std::size_t pending_events() const {
@@ -421,9 +429,8 @@ class Simulator {
   // `slot` selects the payload's home: an arena slot id, or the
   // kInlineSlot sentinel meaning the payload lives *in the entry*: `fn`
   // is a plain function pointer and `payload` holds one Port pointer
-  // (the transmitter release, see port_entry). A lane's head entry
-  // carries kLaneSlot + the lane's index and no payload: the event
-  // itself waits at the front of the lane.
+  // (the transmitter release, see port_entry). Lanes hold the same
+  // entries.
   struct HeapEntry {
     SimTime time;
     std::uint32_t seq;
@@ -458,8 +465,6 @@ class Simulator {
   /// `slot` sentinel for in-entry payloads (no arena slot; above any
   /// reachable arena id).
   static constexpr std::uint32_t kInlineSlot = 0x7fffffffu;
-  /// `slot` base for lane heads (kLaneSlot + lane index).
-  static constexpr std::uint32_t kLaneSlot = 0x80000000u;
   // 256 slots (32 KiB) per chunk: small enough that glibc serves chunks
   // from its recycled arena instead of fresh mmap'd pages, so repeated
   // simulator construction reuses warm memory.
@@ -467,12 +472,13 @@ class Simulator {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 
-  /// Which queue holds the earliest event, and its time (+infinity
+  /// Which queue holds the earliest event, and its key (time +infinity
   /// when the kernel is empty); see next_source.
-  enum class Source : std::uint8_t { kNone, kHeap, kTimer };
+  enum class Source : std::uint8_t { kNone, kHeap, kLane, kTimer };
   struct Next {
     Source src;
     SimTime time;
+    std::uint32_t seq;
   };
 
   template <typename A, typename B>
@@ -514,7 +520,8 @@ class Simulator {
   LaneId find_lane(SimTime d);
   void push_keyed(LaneId lane, const HeapEntry& e);
   void push_plain(const HeapEntry& e);
-  HeapEntry take_lane_head(std::uint32_t lane);
+  void insert_head(SimTime time, std::uint32_t seq, std::uint32_t lane);
+  HeapEntry take_lane_head();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void sift_up_plain(std::uint32_t pos);
@@ -567,12 +574,20 @@ class Simulator {
   std::vector<Deferred> deferred_;
   std::vector<std::uint32_t> watched_;
   // Delay lanes, opened on first use: each queue is sorted by (time,
-  // seq) and is in the heap (by its front) exactly while non-empty.
+  // seq) and has an entry in `heads_` (its front's key) exactly while
+  // non-empty. `heads_` is sorted by (time, seq), earliest first.
   struct Lane {
     SimTime delay;
     util::RingBuffer<HeapEntry> q;
   };
+  struct LaneHead {
+    SimTime time;
+    std::uint32_t seq;
+    std::uint32_t lane;
+  };
+  static_assert(sizeof(LaneHead) == 16);
   std::vector<Lane> lanes_;
+  std::vector<LaneHead> heads_;
 };
 
 }  // namespace dtdctcp::sim

@@ -365,6 +365,232 @@ TEST(Simulator, MoveTransfersQueueAndHandlesStayValid) {
   EXPECT_DOUBLE_EQ(b.now(), 1.0);
 }
 
+// --- delay-lane heads -----------------------------------------------
+//
+// The fronts of the non-empty lanes are kept in a sorted array, apart
+// from the plain heap and the timer heap. These tests drive that array
+// through the public lane API and check that every event fires at its
+// key in exact (time, seq) order.
+
+// Fires events and checks that their keys strictly ascend: with every
+// scheduled event firing once, that is exactly (time, seq) order.
+class KeyLog {
+ public:
+  explicit KeyLog(sim::Simulator& s) : s_(s) {}
+
+  /// An event through `lane` at `t`, tagged `id`.
+  void lane_event(sim::Simulator::LaneId lane, SimTime t, int id) {
+    const sim::Simulator::Key k = s_.reserve_key(t);
+    s_.lane_at(lane, k, [this, k, id] { record(k, id); });
+  }
+
+  /// Records a lane event firing at its key `k`.
+  void record(sim::Simulator::Key k, int id) {
+    EXPECT_EQ(s_.now(), k.time);
+    if (keyed_) {
+      const bool ascends =
+          last_.time < k.time ||
+          (last_.time == k.time &&
+           static_cast<std::int32_t>(k.seq - last_.seq) > 0);
+      EXPECT_TRUE(ascends) << "event " << id << " fired out of order";
+    }
+    EXPECT_GE(k.time, last_.time) << "event " << id;
+    last_ = k;
+    keyed_ = true;
+    ids.push_back(id);
+  }
+
+  /// Records an event whose key the test does not know (a plain event
+  /// or a timer): only its time is checked.
+  void record(int id) {
+    EXPECT_GE(s_.now(), last_.time) << "event " << id;
+    last_.time = s_.now();
+    keyed_ = false;
+    ids.push_back(id);
+  }
+
+  std::vector<int> ids;
+
+ private:
+  sim::Simulator& s_;
+  sim::Simulator::Key last_{0.0, 0};
+  bool keyed_ = false;  ///< whether last_.seq is the last event's
+};
+
+TEST(LaneHeads, SharedTimestampFiresInScheduleOrderAcrossQueues) {
+  // One timestamp for lane heads, plain events and timers: only seq
+  // decides, so events fire in the order they were scheduled whichever
+  // queue holds them.
+  sim::Simulator s;
+  KeyLog log(s);
+  const auto a = s.lane(1e-6, sim::Simulator::kNoLane);
+  const auto b = s.lane(2e-6, sim::Simulator::kNoLane);
+  const double t = 5e-6;
+  int id = 0;
+  s.timer_at(t, [&log, id] { log.record(id); });
+  ++id;
+  log.lane_event(b, t, id++);
+  s.at(t, [&log, id] { log.record(id); });
+  ++id;
+  log.lane_event(a, t, id++);
+  s.timer_at(t, [&log, id] { log.record(id); });
+  ++id;
+  log.lane_event(b, t, id++);  // behind b's head: same time, later seq
+  s.at(t, [&log, id] { log.record(id); });
+  ++id;
+  log.lane_event(a, t, id++);
+  EXPECT_EQ(s.queue_size(), 2u + 2u + 2u);  // timers, plain, lane heads
+  EXPECT_EQ(s.pending_events(), 8u);
+  s.run();
+  EXPECT_EQ(log.ids, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(LaneHeads, AllLanesBusyWithHeadsOvertakingEachOther) {
+  // Two chains of events per lane, each event scheduling its successor
+  // at now + the lane's delay: every lane holds two events, and heads
+  // keep passing each other. Plain events and timers ride along. The
+  // key log checks the fire order.
+  sim::Simulator s;
+  KeyLog log(s);
+  constexpr int kLanes = static_cast<int>(sim::Simulator::kMaxLanes);
+  constexpr int kChains = 2 * kLanes;
+  constexpr int kHops = 40;
+  std::vector<double> delay(kLanes);
+  std::vector<sim::Simulator::LaneId> hint(kLanes, sim::Simulator::kNoLane);
+  std::vector<int> hops(kChains, 0);
+  std::function<void(int)> hop = [&](int chain) {
+    if (++hops[static_cast<std::size_t>(chain)] == kHops) return;
+    const auto lane = static_cast<std::size_t>(chain % kLanes);
+    hint[lane] = s.lane(delay[lane], hint[lane]);
+    const sim::Simulator::Key k = s.reserve_key(s.now() + delay[lane]);
+    s.lane_at(hint[lane], k, [&log, &hop, k, chain] {
+      log.record(k, chain);
+      hop(chain);
+    });
+  };
+  for (int i = 0; i < kLanes; ++i) {
+    // Delays 1.0..4.1 us in a scrambled order, and staggered starts.
+    delay[static_cast<std::size_t>(i)] = 1e-6 * (1.0 + (i * 7 % kLanes) / 10.0);
+    const double start = 1e-7 * (kLanes - i);
+    s.at(start, [&hop, i] { hop(i); });
+    s.at(start + 0.37e-6, [&hop, i] { hop(i + kLanes); });
+    if (i % 4 == 0) s.timer_at(start * 3, [&log] { log.record(-1); });
+  }
+  s.run_until(5e-6);
+  // Every chain is under way: each lane holds two events behind one
+  // head.
+  EXPECT_EQ(s.lanes(), sim::Simulator::kMaxLanes);
+  EXPECT_EQ(s.pending_events() - s.queue_size(),
+            sim::Simulator::kMaxLanes);
+  s.run();
+  for (const int h : hops) EXPECT_EQ(h, kHops);
+  EXPECT_EQ(std::count(log.ids.begin(), log.ids.end(), -1), kLanes / 4);
+  EXPECT_EQ(log.ids.size(),
+            static_cast<std::size_t>(kChains * (kHops - 1) + kLanes / 4));
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.queue_size(), 0u);
+}
+
+TEST(LaneHeads, DrainedLaneIsTakenOverWhileOtherHeadsWait) {
+  // Fill the lane table, let one lane drain while the others still hold
+  // events, then open a new delay: it takes over the drained lane and
+  // its events interleave with the waiting heads.
+  sim::Simulator s;
+  KeyLog log(s);
+  constexpr std::size_t kLanes = sim::Simulator::kMaxLanes;
+  std::vector<sim::Simulator::LaneId> ids;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    ids.push_back(s.lane(1e-6 * static_cast<double>(i + 1),
+                         sim::Simulator::kNoLane));
+  }
+  ASSERT_EQ(s.lanes(), kLanes);
+  // Lane 0 holds two early events; every other lane holds three late
+  // ones, in descending lane order so the head array fills out of order.
+  log.lane_event(ids[0], 1.0, 0);
+  log.lane_event(ids[0], 2.0, 1);
+  for (std::size_t i = kLanes; i-- > 1;) {
+    for (int k = 0; k < 3; ++k) {
+      log.lane_event(ids[i], 10.0 + static_cast<double>(i % 5) + k,
+                     100 + static_cast<int>(i));
+    }
+  }
+  EXPECT_EQ(s.queue_size(), kLanes);
+  s.run_until(5.0);
+  EXPECT_EQ(log.ids, (std::vector<int>{0, 1}));
+  EXPECT_EQ(s.queue_size(), kLanes - 1);  // lane 0 drained: no head
+  // A new delay takes over the only empty lane; the old delay's hint no
+  // longer names it.
+  const auto fresh = s.lane(0.5e-6, sim::Simulator::kNoLane);
+  EXPECT_EQ(fresh, ids[0]);
+  EXPECT_EQ(s.lanes(), kLanes);
+  // Its events land before, between and after the waiting heads.
+  log.lane_event(fresh, 9.0, 2);
+  log.lane_event(fresh, 11.5, 3);
+  log.lane_event(fresh, 20.0, 4);
+  EXPECT_EQ(s.queue_size(), kLanes);
+  // Every lane is busy, so the old delay finds none.
+  EXPECT_EQ(s.lane(1e-6, ids[0]), sim::Simulator::kNoLane);
+  s.run();
+  ASSERT_EQ(log.ids.size(), 5u + 3u * (kLanes - 1));
+  EXPECT_EQ(log.ids[2], 2);
+  EXPECT_EQ(log.ids.back(), 4);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(LaneHeads, OnlyLaneEventsPendingAreCountedAndBoundTheHorizon) {
+  sim::Simulator s;
+  KeyLog log(s);
+  const auto a = s.lane(1e-6, sim::Simulator::kNoLane);
+  const auto b = s.lane(2e-6, sim::Simulator::kNoLane);
+  EXPECT_TRUE(s.empty());
+  log.lane_event(a, 3.0, 0);
+  log.lane_event(a, 4.0, 1);
+  log.lane_event(a, 6.0, 2);
+  log.lane_event(b, 2.0, 3);
+  log.lane_event(b, 5.0, 4);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.queue_size(), 2u);  // one per non-empty lane
+  EXPECT_EQ(s.pending_events(), 5u);
+  EXPECT_EQ(s.next_event_time(), 2.0);
+  s.run_until(4.5);  // b's head fired, then a's first two
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.queue_size(), 2u);
+  EXPECT_EQ(s.pending_events(), 2u);
+  EXPECT_EQ(s.next_event_time(), 5.0);
+  s.run_until(5.5);  // b drained
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.queue_size(), 1u);
+  EXPECT_EQ(s.next_event_time(), 6.0);
+  s.run();
+  EXPECT_EQ(log.ids, (std::vector<int>{3, 0, 1, 4, 2}));
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.queue_size(), 0u);
+  EXPECT_EQ(s.next_event_time(), std::numeric_limits<SimTime>::infinity());
+}
+
+TEST(LaneHeads, MovedSimulatorKeepsItsLaneHeads) {
+  sim::Simulator a;
+  std::vector<int> order;
+  const auto x = a.lane(1e-6, sim::Simulator::kNoLane);
+  const auto y = a.lane(2e-6, sim::Simulator::kNoLane);
+  a.lane_at(x, a.reserve_key(2.0), [&order] { order.push_back(2); });
+  a.lane_at(y, a.reserve_key(1.0), [&order] { order.push_back(1); });
+  a.lane_at(x, a.reserve_key(3.0), [&order] { order.push_back(3); });
+  a.at(2.5, [&order] { order.push_back(25); });
+  sim::Simulator b(std::move(a));
+  EXPECT_FALSE(b.empty());
+  EXPECT_EQ(b.queue_size(), 3u);
+  EXPECT_EQ(b.pending_events(), 4u);
+  EXPECT_EQ(b.next_event_time(), 1.0);
+  sim::Simulator c;
+  c = std::move(b);
+  EXPECT_EQ(c.next_event_time(), 1.0);
+  c.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 25, 3}));
+  EXPECT_TRUE(c.empty());
+}
+
 // --- port / link timing ---------------------------------------------
 
 class SinkNode : public sim::Node {
